@@ -1,6 +1,6 @@
 # Convenience targets for the Quetzal reproduction.
 
-.PHONY: install test lint bench bench-record bench-figures fleet-smoke obs-smoke trace-smoke serve-smoke figures figures-paper-scale examples clean
+.PHONY: install test lint bench profile-figures bench-record bench-figures smoke figures figures-paper-scale examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -33,38 +33,15 @@ bench-record:
 bench-figures:
 	pytest benchmarks/ --benchmark-only
 
-# Fleet kill/resume + vector-kernel gate: runs an 8-device 2-shard fleet
-# through the CLI, kills it after one shard, resumes, and fails unless the
-# resumed rollup — and a --kernel vector rerun — are byte-identical to an
-# uninterrupted run.  Scale with FLEET_SMOKE_DEVICES / FLEET_SMOKE_SHARDS.
-fleet-smoke:
-	PYTHONPATH=src python benchmarks/fleet_smoke.py
-
-# Observability gate: runs a small fleet through the CLI with tracing,
-# metrics, and streaming telemetry all on, schema-validates the emitted
-# Chrome-trace / JSONL / Prometheus artifacts, and fails unless the
-# rollup and metrics outputs are byte-identical across shards/jobs/kernel
-# choices and unchanged by observation.  Set OBS_SMOKE_DIR to keep the
-# artifacts (CI uploads them); scale with OBS_SMOKE_DEVICES/_SHARDS.
-obs-smoke:
-	PYTHONPATH=src python benchmarks/obs_smoke.py
-
-# Trace-store gate: builds a small memory-mapped store through the CLI,
-# verifies its digests, and fails unless fleet rollups with --trace-store
-# are byte-identical to the generator path on both kernels.  Set
-# TRACE_SMOKE_DIR to keep the store manifest (CI uploads it); scale with
-# TRACE_SMOKE_DEVICES.
-trace-smoke:
-	PYTHONPATH=src python benchmarks/trace_smoke.py
-
-# Fleet-service gate: starts the server, submits two identical specs plus
-# one distinct one, and fails unless exactly one request hit the
-# content-addressed cache, the served/cached rollups are byte-identical
-# to the fleet CLI's --json output, and the streamed telemetry
-# schema-validates.  Set SERVE_SMOKE_DIR to keep the artifacts (CI
-# uploads them); scale with SERVE_SMOKE_DEVICES.
-serve-smoke:
-	PYTHONPATH=src python benchmarks/serve_smoke.py
+# End-to-end byte-identity gate: one 24-device fleet spec driven through
+# the fleet CLI (kill/resume, --kernel vector, varied shards/jobs,
+# --trace-store on both kernels, every observability surface on) and the
+# fleet service (miss, cache hit, mutated miss); fails unless every leg's
+# rollup is byte-identical to one scalar reference run and every emitted
+# artifact validates.  Set SMOKE_DIR to keep the artifacts (CI uploads
+# them).
+smoke:
+	PYTHONPATH=src python benchmarks/smoke.py
 
 # Regenerate every table and figure at the default (fast) scale.
 figures:

@@ -3,8 +3,7 @@
 ``python -m repro.experiments``, ``python -m repro.fleet``, and
 ``python -m repro.serve`` expose the same execution knobs, and they must
 mean the same thing on all three.  This module is the single source of
-that flag group (it used to live in :mod:`repro.experiments.cli`, which
-now re-exports these names with a :class:`DeprecationWarning`):
+that flag group:
 
 * ``--jobs N`` — worker processes (``0`` = one per CPU, matching
   ``BENCH_JOBS`` and :func:`repro.experiments.runner.resolve_jobs`);

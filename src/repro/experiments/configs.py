@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.compat import keyword_only
 from repro.device.mcu import APOLLO4, MSP430FR5994, MCUProfile
 from repro.device.storage import Supercapacitor
 from repro.env.activity import MSP430_ENVIRONMENT, SensingEnvironment, environment_by_name
@@ -57,14 +56,13 @@ _SOLAR_KEY_TEMPLATES: dict = {}
 _SCHEDULE_KEY_TEMPLATES: dict = {}
 
 
-@keyword_only
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """One fully resolved experiment setup.
 
-    Construct with keyword arguments (positional construction is
-    deprecated) and derive variants with ``replace(**overrides)``, so
-    per-device fleet overrides never depend on field order.
+    Construction is keyword-only and variants come from
+    :func:`dataclasses.replace`, so per-device fleet overrides never
+    depend on field order.
 
     Attributes
     ----------

@@ -15,7 +15,7 @@ Shares ``--jobs`` / ``--profile`` / ``--profile-dir`` / ``--kernel`` /
 helper: :mod:`repro.cli`); ``--jobs 0`` is one worker per CPU and
 ``BENCH_JOBS`` sets the default.  Results are bit-identical at any
 ``--shards``/``--jobs`` setting, and a ``--resume`` after a kill matches
-an uninterrupted run exactly (``make fleet-smoke`` checks this).
+an uninterrupted run exactly (``make smoke`` checks this).
 
 Instead of spelling the fleet out in flags, ``--spec spec.json`` loads a
 versioned :meth:`FleetSpec.to_json` file — the same codec the serve

@@ -126,10 +126,11 @@ class FleetCheckpoint:
         try:
             with open(self.shard_path(shard)) as handle:
                 data = json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
+        except (OSError, ValueError):
             return None
         if (
-            data.get("version") != _VERSION
+            not isinstance(data, dict)
+            or data.get("version") != _VERSION
             or data.get("fingerprint") != self.fingerprint
             or data.get("shard") != shard
         ):
@@ -145,9 +146,9 @@ class FleetCheckpoint:
         try:
             with open(self.manifest_path) as handle:
                 manifest = json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
+        except (OSError, ValueError):
             return None
-        if manifest.get("version") != _VERSION:
+        if not isinstance(manifest, dict) or manifest.get("version") != _VERSION:
             return None
         return manifest
 

@@ -249,7 +249,7 @@ def run_fleet(
     stop_after:
         Simulate a kill: journal only this many not-yet-done shards, then
         return an incomplete result (requires ``checkpoint``).  This is
-        what ``make fleet-smoke`` and the resume tests drive.
+        what ``make smoke`` and the resume tests drive.
     progress:
         Optional ``callable(str)`` for human-readable progress lines.
     trace:

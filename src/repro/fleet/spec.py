@@ -23,7 +23,6 @@ import json
 import random
 from dataclasses import dataclass, fields
 
-from repro.compat import keyword_only
 from repro.device.mcu import mcu_by_name
 from repro.env.activity import environment_by_name
 from repro.errors import ConfigurationError
@@ -62,8 +61,7 @@ def shard_ranges(devices: int, shards: int) -> list[range]:
     return ranges
 
 
-@keyword_only
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FleetSpec:
     """A deterministic population of heterogeneous devices.
 

@@ -3,7 +3,7 @@
 Two formats, one event model:
 
 * **JSONL** — one ``TraceEvent.as_dict()`` object per line, the
-  machine-diffable archival form (and what the obs-smoke gate
+  machine-diffable archival form (and what the ``make smoke`` gate
   validates).
 * **Chrome trace-event JSON** — the ``{"traceEvents": [...]}`` object
   format that Perfetto and ``chrome://tracing`` load directly.  Each
@@ -115,7 +115,7 @@ def read_jsonl(path: str) -> list[TraceEvent]:
 
 
 # ---------------------------------------------------------------------------
-# Schema checks (the `make obs-smoke` gate).
+# Schema checks (the `make smoke` gate).
 # ---------------------------------------------------------------------------
 
 def validate_jsonl_events(rows: Iterable[dict]) -> list[str]:

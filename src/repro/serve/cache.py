@@ -88,7 +88,7 @@ class ResultCache:
         try:
             with open(self._path(fingerprint)) as handle:
                 entry = json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
+        except (OSError, ValueError):
             return None
         if (
             not isinstance(entry, dict)

@@ -42,7 +42,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from repro.compat import keyword_only
 from repro.errors import ConfigurationError
 from repro.fleet.checkpoint import FleetCheckpoint
 from repro.fleet.service import run_fleet
@@ -57,8 +56,7 @@ __all__ = ["ServeConfig", "FleetServer", "ServerHandle", "start_background"]
 _KERNELS = ("auto", "scalar", "vector")
 
 
-@keyword_only
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ServeConfig:
     """How a :class:`FleetServer` listens, executes, and persists.
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compat import keyword_only
 from repro.device.buffer import BufferedInput, InputBuffer, _input_ids
 from repro.device.checkpoint import CheckpointModel
 from repro.device.mcu import APOLLO4, MCUProfile
@@ -60,13 +59,12 @@ class _RunEnded(Exception):
     """Internal control flow: the hard end of the simulation was reached."""
 
 
-@keyword_only
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SimulationConfig:
     """Engine parameters independent of device/workload/policy.
 
-    Construct with keyword arguments (positional construction is
-    deprecated) and derive variants with ``replace(**overrides)``.
+    Construction is keyword-only; derive variants with
+    :func:`dataclasses.replace`.
 
     Attributes
     ----------

@@ -141,12 +141,19 @@ class TraceStore:
         self._schedule_memo: dict[tuple, EventSchedule | None] = {}
         manifest = os.path.join(self.directory, _MANIFEST)
         if os.path.exists(manifest):
-            with open(manifest, encoding="utf-8") as handle:
-                data = json.load(handle)
-            if data.get("version") != _VERSION:
+            try:
+                with open(manifest, encoding="utf-8") as handle:
+                    data = json.load(handle)
+            except (OSError, ValueError) as exc:
+                raise TraceError(
+                    f"trace store {self.directory} has an unreadable "
+                    f"manifest: {exc}"
+                ) from exc
+            version = data.get("version") if isinstance(data, dict) else None
+            if version != _VERSION:
                 raise TraceError(
                     f"trace store {self.directory} has manifest version "
-                    f"{data.get('version')!r}; this build reads {_VERSION}"
+                    f"{version!r}; this build reads {_VERSION}"
                 )
             self._entries = data["entries"]
         elif create:

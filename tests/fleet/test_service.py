@@ -117,22 +117,37 @@ class TestCheckpointResume:
         assert resumed.rollup == straight.rollup
         assert resumed.rollup.to_dict() == straight.rollup.to_dict()
 
-    def test_truncated_shard_entry_is_recomputed(self, tmp_path):
+    @pytest.mark.parametrize(
+        "damage", [lambda data: data[: len(data) // 2],
+                   lambda data: b"\xff\xfe\x00", lambda data: b"[1]"],
+        ids=["truncated", "non-utf8", "non-object"],
+    )
+    def test_truncated_shard_entry_is_recomputed(self, tmp_path, damage):
         spec = small_spec()
         ckpt = str(tmp_path / "journal")
         straight = run_fleet(spec, shards=3, jobs=1, checkpoint=ckpt)
 
-        # Simulate a crash mid-write: leave a half-written journal entry.
+        # Simulate a crash mid-write or bit rot: damage one journal entry.
         victim = os.path.join(ckpt, "shard-000001.json")
-        with open(victim) as handle:
-            text = handle.read()
-        with open(victim, "w") as handle:
-            handle.write(text[: len(text) // 2])
+        with open(victim, "rb") as handle:
+            data = handle.read()
+        with open(victim, "wb") as handle:
+            handle.write(damage(data))
 
         resumed = run_fleet(spec, shards=3, jobs=1, checkpoint=ckpt, resume=True)
         assert resumed.resumed_shards == 2
         assert resumed.computed_shards == 1
         assert resumed.rollup == straight.rollup
+
+    @pytest.mark.parametrize("payload", [b"\xff\xfe\x00", b"[1]"],
+                             ids=["non-utf8", "non-object"])
+    def test_unreadable_manifest_refuses_resume(self, tmp_path, payload):
+        ckpt = str(tmp_path / "journal")
+        run_fleet(small_spec(), shards=2, jobs=1, checkpoint=ckpt, stop_after=1)
+        with open(os.path.join(ckpt, "manifest.json"), "wb") as handle:
+            handle.write(payload)
+        with pytest.raises(ConfigurationError, match="no readable manifest"):
+            run_fleet(small_spec(), shards=2, jobs=1, checkpoint=ckpt, resume=True)
 
     def test_resume_rejects_different_spec(self, tmp_path):
         ckpt = str(tmp_path / "journal")

@@ -32,12 +32,16 @@ class TestResultCache:
         cache = ResultCache(str(tmp_path))
         assert cache.get(SPEC.fingerprint()) == ROLLUP
 
-    def test_corrupt_entry_reads_as_miss(self, tmp_path):
+    @pytest.mark.parametrize(
+        "payload", [b"{torn write", b"\xff\xfe\x00", b"[1]"],
+        ids=["torn", "non-utf8", "non-object"],
+    )
+    def test_corrupt_entry_reads_as_miss(self, tmp_path, payload):
         cache = ResultCache(str(tmp_path))
         fingerprint = cache.put(SPEC, ROLLUP)
         path = os.path.join(str(tmp_path), f"{fingerprint}.json")
-        with open(path, "w") as handle:
-            handle.write("{torn write")
+        with open(path, "wb") as handle:
+            handle.write(payload)
         assert cache.get(fingerprint) is None
 
     def test_foreign_cache_version_reads_as_miss(self, tmp_path):

@@ -1,11 +1,11 @@
-"""The curated ``repro.api`` surface and the top-level deprecation shims.
+"""The curated ``repro.api`` surface and the top-level ``repro`` package.
 
 ``repro.api.__all__`` is the supported contract — this snapshot pins it
-so any addition or removal is a deliberate, reviewed change.  The old
-top-level re-exports of internal names must keep resolving, but through
-``DeprecationWarning`` shims.
+so any addition or removal is a deliberate, reviewed change.  The
+top-level ``repro.__all__`` is pinned the same way.
 """
 
+import importlib
 import warnings
 
 import pytest
@@ -71,7 +71,25 @@ API_SNAPSHOT = sorted([
     "__version__",
 ])
 
-DEPRECATED_TOP_LEVEL = {
+TOP_LEVEL_SNAPSHOT = sorted([
+    "QuetzalRuntime", "EnergyAwareSJF", "FCFSScheduler", "LCFSScheduler",
+    "Policy", "NoAdaptPolicy", "AlwaysDegradePolicy", "BufferThresholdPolicy",
+    "catnap_policy", "PowerThresholdPolicy",
+    "MCUProfile", "APOLLO4", "MSP430FR5994", "mcu_by_name", "Supercapacitor",
+    "InputBuffer",
+    "Event", "EventSchedule", "EventScheduleGenerator", "SensingEnvironment",
+    "APOLLO_ENVIRONMENTS", "environment_by_name",
+    "PiecewiseConstantTrace", "SolarTraceGenerator", "SolarTraceConfig",
+    "constant_trace", "square_wave_trace",
+    "Task", "TaskCost", "TaskRef", "DegradationOption", "Job", "JobSet",
+    "MLModelProfile", "build_apollo_app", "build_msp430_app",
+    "SimulationEngine", "SimulationConfig", "RunMetrics", "simulate",
+    "TelemetryRecorder",
+    "__version__",
+])
+
+# Internal names: importable from their home modules, never from ``repro``.
+INTERNAL_NAMES = {
     "IBOEngine": "repro.core.ibo",
     "PIDController": "repro.core.pid",
     "end_to_end_service_time": "repro.core.service_time",
@@ -117,19 +135,18 @@ class TestApiFacade:
 
 
 class TestTopLevelShims:
-    @pytest.mark.parametrize("name", sorted(DEPRECATED_TOP_LEVEL))
-    def test_deprecated_name_warns_but_resolves(self, name):
-        with pytest.warns(DeprecationWarning, match=DEPRECATED_TOP_LEVEL[name]):
-            obj = getattr(repro, name)
-        # The shim hands back the real object, not a copy.
-        import importlib
+    """Only the lazy submodule attributes resolve beyond ``__all__``."""
 
-        home = importlib.import_module(DEPRECATED_TOP_LEVEL[name])
-        assert obj is getattr(home, name)
+    def test_all_is_exactly_the_snapshot(self):
+        assert sorted(repro.__all__) == TOP_LEVEL_SNAPSHOT
 
-    def test_deprecated_names_stay_in_all(self):
-        for name in DEPRECATED_TOP_LEVEL:
-            assert name in repro.__all__, name
+    @pytest.mark.parametrize("name", sorted(INTERNAL_NAMES))
+    def test_internal_name_resolves_from_home_module_only(self, name):
+        home = importlib.import_module(INTERNAL_NAMES[name])
+        assert getattr(home, name) is not None
+        assert name not in repro.__all__
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
 
     def test_supported_names_do_not_warn(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -150,30 +167,3 @@ class TestTopLevelShims:
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no attribute"):
             repro.definitely_not_a_name  # noqa: B018
-
-    def test_dir_covers_shimmed_names(self):
-        listing = dir(repro)
-        assert "IBOEngine" in listing
-        assert "simulate" in listing
-
-
-class TestMovedCliHelpers:
-    """The flag helpers moved repro.experiments.cli -> repro.cli (PR 10)."""
-
-    MOVED = ["CORE_FLAGS", "add_core_flags", "add_execution_flags",
-             "jobs_from_args", "profiled"]
-
-    @pytest.mark.parametrize("name", MOVED)
-    def test_old_location_warns_but_resolves(self, name):
-        import repro.cli
-        import repro.experiments.cli as old
-
-        with pytest.warns(DeprecationWarning, match="repro.cli"):
-            obj = getattr(old, name)
-        assert obj is getattr(repro.cli, name)
-
-    def test_old_location_dir_covers_moved_names(self):
-        import repro.experiments.cli as old
-
-        for name in self.MOVED:
-            assert name in dir(old), name

@@ -1,4 +1,4 @@
-"""Keyword-only config constructors: positional deprecation + replace()."""
+"""Keyword-only config constructors; variants come from dataclasses.replace."""
 
 import dataclasses
 
@@ -6,6 +6,8 @@ import pytest
 
 from repro.env.activity import environment_by_name
 from repro.experiments.configs import ExperimentConfig
+from repro.fleet.spec import FleetSpec
+from repro.serve.server import ServeConfig
 from repro.sim.engine import SimulationConfig
 
 
@@ -15,33 +17,17 @@ class TestKeywordOnlyConfigs:
         ExperimentConfig(name="x", environment=environment_by_name("crowded"))
         assert not [w for w in recwarn if w.category is DeprecationWarning]
 
-    def test_positional_construction_warns_but_works(self):
-        # First declared field is capture_period_s.
-        with pytest.warns(DeprecationWarning, match="positional"):
-            config = SimulationConfig(2.5)
-        assert config.capture_period_s == 2.5
-
-    def test_positional_maps_by_field_order(self):
-        fields = [f.name for f in dataclasses.fields(SimulationConfig)]
-        with pytest.warns(DeprecationWarning):
-            config = SimulationConfig(2.5, 7)
-        assert getattr(config, fields[0]) == 2.5
-        assert getattr(config, fields[1]) == 7
-
-    def test_positional_and_keyword_duplicate_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="multiple values"):
-                SimulationConfig(2.5, capture_period_s=4.0)
-
-    def test_too_many_positionals_rejected(self):
-        n_fields = len(dataclasses.fields(SimulationConfig))
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="at most"):
-                SimulationConfig(*range(n_fields + 1))
+    @pytest.mark.parametrize(
+        "cls", [SimulationConfig, ExperimentConfig, FleetSpec, ServeConfig],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_positional_construction_raises(self, cls):
+        with pytest.raises(TypeError, match="positional"):
+            cls(1)
 
     def test_replace_derives_variant(self):
         base = SimulationConfig(seed=3)
-        variant = base.replace(seed=4)
+        variant = dataclasses.replace(base, seed=4)
         assert variant.seed == 4
         assert base.seed == 3
         assert type(variant) is SimulationConfig
@@ -49,10 +35,10 @@ class TestKeywordOnlyConfigs:
     def test_replace_on_experiment_config(self):
         base = ExperimentConfig(name="grid", n_events=5,
                                 environment=environment_by_name("crowded"))
-        variant = base.replace(n_events=9)
+        variant = dataclasses.replace(base, n_events=9)
         assert variant.n_events == 9
         assert variant.name == "grid"
 
     def test_replace_rejects_unknown_field(self):
         with pytest.raises(TypeError):
-            SimulationConfig(seed=1).replace(not_a_field=2)
+            dataclasses.replace(SimulationConfig(seed=1), not_a_field=2)

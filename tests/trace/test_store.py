@@ -170,6 +170,15 @@ class TestIntegrity:
         with pytest.raises(TraceError, match="version"):
             TraceStore.open(store.directory)
 
+    @pytest.mark.parametrize("payload", [b"{torn", b"\xff\xfe\x00", b"[1]"],
+                             ids=["torn", "non-utf8", "non-object"])
+    def test_unreadable_manifest_rejected(self, tmp_path, payload):
+        store = populated(tmp_path, small_config())
+        with open(os.path.join(store.directory, "manifest.json"), "wb") as handle:
+            handle.write(payload)
+        with pytest.raises(TraceError, match="manifest"):
+            TraceStore.open(store.directory)
+
     def test_non_repeating_trace_rejected(self, tmp_path):
         store = TraceStore.create(tmp_path / "store")
         trace = PiecewiseConstantTrace([0.0, 5.0], [1.0, 2.0], period=None)
