@@ -14,7 +14,8 @@ byte:
 3. ``--shards``/``--jobs`` varied (also writing ``--metrics-out``): the
    ``.prom`` text and metrics ``.json`` must match leg 2's byte for byte;
 4. ``--trace-store`` on both kernels, after ``python -m repro.trace
-   store build`` / ``ls`` / ``verify``;
+   store build`` / ``ls`` / ``verify``; a second ``store build --jobs
+   2`` must write a byte-identical manifest and ``.npy`` files;
 5. the fully observed run (``--trace-out``, ``--metrics-out``,
    ``--telemetry-out``, ``--kernel-stats``), minus its ``kernel_stats``
    key; its Chrome trace, JSONL events and heartbeats must schema-validate
@@ -29,6 +30,7 @@ or absent; CI uploads it.
 """
 
 import dataclasses
+import filecmp
 import json
 import os
 import sys
@@ -139,12 +141,21 @@ def smoke(out: str) -> None:
         if read(path("metrics-vector" + ext)) != read(path("metrics-varied" + ext)):
             fail(f"metrics{ext} differs across run configurations")
 
-    # 4. Trace store on both kernels.
-    store = path("store")
-    run("repro.trace", "store", "build", store, "--devices", str(SPEC.devices),
-        "--seed", str(SPEC.seed), "--name", SPEC.name,
-        "--events", str(SPEC.n_events), "--policies", ",".join(SPEC.policies),
-        "--quiet")
+    # 4. Trace store on both kernels; a forked (--jobs 2) build must write
+    # the same manifest and data files, byte for byte.
+    store, forked = path("store"), path("store-forked")
+    for directory, jobs in ((store, "1"), (forked, "2")):
+        run("repro.trace", "store", "build", directory,
+            "--devices", str(SPEC.devices), "--seed", str(SPEC.seed),
+            "--name", SPEC.name, "--events", str(SPEC.n_events),
+            "--policies", ",".join(SPEC.policies), "--jobs", jobs, "--quiet")
+    names = sorted(os.listdir(store))
+    if names != sorted(os.listdir(forked)):
+        fail("--jobs 2 store holds different files than the --jobs 1 store")
+    _, mismatch, errors = filecmp.cmpfiles(store, forked, names, shallow=False)
+    if mismatch or errors:
+        fail(f"--jobs 2 store files {(mismatch + errors)[:3]} differ from the "
+             "--jobs 1 build")
     run("repro.trace", "store", "ls", store)
     run("repro.trace", "store", "verify", store)
     for kernel in ("scalar", "vector"):
@@ -222,7 +233,8 @@ def main() -> int:
     else:
         with tempfile.TemporaryDirectory(prefix="smoke-") as tmp:
             smoke(tmp)
-    print("smoke OK: kill/resume, vector, varied shards/jobs, trace-store, "
+    print("smoke OK: kill/resume, vector, varied shards/jobs, trace-store "
+          "(serial and forked builds byte-identical), "
           "observed, served and cached rollups are byte-identical to the "
           "scalar reference; metrics are run-configuration-invariant; "
           "every artifact validates; 1 cache hit in 3 submissions")

@@ -48,12 +48,23 @@ __all__ = [
 DEFAULT_SIM_EVENTS = 1000
 DEFAULT_HW_EVENTS = 100
 
-#: Trace-store key templates (see ``trace_store_key``): seed-0 key dicts
-#: cached per cell count / per (generator, n_events), shallow-copied with
-#: the real seed per call.  The schedule cache keeps a strong reference
-#: to its generator so cached ``id()`` keys stay valid.
-_SOLAR_KEY_TEMPLATES: dict = {}
+#: Per cell count: the validated ``SolarTraceConfig`` (shared by every
+#: ``build_trace``) and its seed-0 trace-store key template.  Schedule key
+#: templates are cached per (generator, n_events).  Templates are
+#: shallow-copied with the real seed per call; the schedule cache keeps a
+#: strong reference to its generator so cached ``id()`` keys stay valid.
+_SOLAR_TEMPLATES: dict = {}
 _SCHEDULE_KEY_TEMPLATES: dict = {}
+
+
+def _solar_template(cells: int) -> tuple[SolarTraceConfig, dict]:
+    cached = _SOLAR_TEMPLATES.get(cells)
+    if cached is None:
+        from repro.trace.store import solar_store_key
+
+        solar = SolarTraceConfig(cells=cells)
+        cached = _SOLAR_TEMPLATES[cells] = (solar, solar_store_key(solar, 0))
+    return cached
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -113,7 +124,7 @@ class ExperimentConfig:
 
     def build_trace(self) -> PiecewiseConstantTrace:
         """The solar trace for this config's cell count and seed."""
-        solar = SolarTraceConfig(cells=self.cells)
+        solar, _ = _solar_template(self.cells)
         return SolarTraceGenerator(solar, seed=self.trace_seed).generate()
 
     def build_schedule(self) -> EventSchedule:
@@ -158,12 +169,7 @@ class ExperimentConfig:
 
     def trace_store_key(self) -> dict:
         """:mod:`repro.trace.store` key of :meth:`build_trace`'s output."""
-        base = _SOLAR_KEY_TEMPLATES.get(self.cells)
-        if base is None:
-            from repro.trace.store import solar_store_key
-
-            base = solar_store_key(SolarTraceConfig(cells=self.cells), 0)
-            _SOLAR_KEY_TEMPLATES[self.cells] = base
+        _, base = _solar_template(self.cells)
         key = dict(base)
         key["seed"] = self.trace_seed
         return key

@@ -163,5 +163,5 @@ class FleetCheckpoint:
     def _write_json(self, path: str, payload: dict) -> None:
         tmp = f"{path}.tmp"
         with open(tmp, "w") as handle:
-            json.dump(payload, handle, sort_keys=True)
+            handle.write(json.dumps(payload, sort_keys=True))  # C encoder
         os.replace(tmp, path)

@@ -114,7 +114,7 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(entry, handle, sort_keys=True)
+                handle.write(json.dumps(entry, sort_keys=True))  # C encoder
             os.replace(tmp, path)
         except BaseException:
             try:

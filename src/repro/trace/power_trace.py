@@ -257,7 +257,8 @@ class PiecewiseConstantTrace(PowerTrace):
             raise TraceError(f"sample_period must be positive, got {sample_period}")
         if not math.isfinite(sample_period):
             raise TraceError("times and powers must be finite")
-        powers_arr = np.asarray(list(powers), dtype=float)
+        # A copy, so the trace never aliases a caller's array.
+        powers_arr = np.array(powers, dtype=float)
         if powers_arr.ndim != 1:
             raise TraceError("times and powers must be one-dimensional")
         n = len(powers_arr)

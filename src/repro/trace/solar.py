@@ -22,6 +22,8 @@ energy-aware scheduling matters (paper sections 2.2 and 3.2).
 
 from __future__ import annotations
 
+import bisect
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,8 @@ from repro.errors import TraceError
 from repro.trace.power_trace import PiecewiseConstantTrace
 
 __all__ = ["SolarTraceConfig", "SolarTraceGenerator"]
+
+_ROW_SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,13 @@ class SolarTraceConfig:
         rows = np.asarray(self.cloud_transition, dtype=float)
         if rows.shape != (3, 3):
             raise TraceError("cloud_transition must be 3x3")
-        if np.any(rows < 0) or not np.allclose(rows.sum(axis=1), 1.0):
+        # The same tolerance ``Generator.choice`` applies to ``p``, so a
+        # row accepted here is one the cloud-state draw treats as given.
+        if (
+            not np.all(np.isfinite(rows))
+            or np.any(rows < 0)
+            or np.any(np.abs(rows.sum(axis=1) - 1.0) > _ROW_SUM_ATOL)
+        ):
             raise TraceError("cloud_transition rows must be probabilities summing to 1")
         if self.flicker_sigma < 0:
             raise TraceError("flicker_sigma must be non-negative")
@@ -108,6 +118,28 @@ class SolarTraceConfig:
     def peak_power_w(self) -> float:
         """Clear-sky peak power (W) for the configured cell count."""
         return self.cells * self.peak_power_per_cell_w
+
+
+@functools.lru_cache(maxsize=64)
+def _clear_sky_power(cfg: SolarTraceConfig, n: int) -> np.ndarray:
+    """Peak power times the cosine daylight arc at each of ``n`` samples.
+
+    The arc is 0 at dawn/dusk and 1 at synthetic noon.  It depends only
+    on the config, so a fleet's thousands of same-config traces share one
+    read-only copy.
+    """
+    t_of_day = ((np.arange(n) + 0.5) * cfg.sample_period_s) % cfg.day_length_s
+    daylight = cfg.daylight_fraction * cfg.day_length_s
+    # Daylight occupies [0, daylight); night is the remainder of the day.
+    phase = t_of_day / daylight  # in [0, 1) during daylight
+    envelope = np.where(
+        t_of_day < daylight,
+        np.sin(np.pi * np.clip(phase, 0.0, 1.0)) ** 2,
+        0.0,
+    )
+    power = cfg.peak_power_w * envelope
+    power.setflags(write=False)
+    return power
 
 
 class SolarTraceGenerator:
@@ -129,11 +161,8 @@ class SolarTraceGenerator:
         cfg = self.config
         rng = np.random.default_rng(self.seed)
         n = int(round(days * cfg.day_length_s / cfg.sample_period_s))
-        t = (np.arange(n) + 0.5) * cfg.sample_period_s
-
-        envelope = self._diurnal_envelope(t % cfg.day_length_s)
         clouds = self._cloud_factor(n, rng)
-        powers = cfg.peak_power_w * envelope * clouds
+        powers = _clear_sky_power(cfg, n) * clouds
         if cfg.flicker_sigma > 0:
             flicker = rng.lognormal(
                 mean=-0.5 * cfg.flicker_sigma**2, sigma=cfg.flicker_sigma, size=n
@@ -141,28 +170,25 @@ class SolarTraceGenerator:
             powers = powers * flicker
         powers = np.maximum(powers, cfg.night_floor_w)
         return PiecewiseConstantTrace.from_samples(
-            powers.tolist(), cfg.sample_period_s, repeat=True
+            powers, cfg.sample_period_s, repeat=True
         )
 
     # -- internals -----------------------------------------------------------
 
-    def _diurnal_envelope(self, t_of_day: np.ndarray) -> np.ndarray:
-        """Cosine daylight arc: 0 at dawn/dusk, 1 at synthetic noon."""
-        cfg = self.config
-        daylight = cfg.daylight_fraction * cfg.day_length_s
-        # Daylight occupies [0, daylight); night is the remainder of the day.
-        phase = t_of_day / daylight  # in [0, 1) during daylight
-        env = np.where(
-            t_of_day < daylight,
-            np.sin(np.pi * np.clip(phase, 0.0, 1.0)) ** 2,
-            0.0,
-        )
-        return env
-
     def _cloud_factor(self, n: int, rng: np.random.Generator) -> np.ndarray:
         cfg = self.config
         attn = np.asarray(cfg.cloud_attenuation, dtype=float)
-        transition = np.asarray(cfg.cloud_transition, dtype=float)
+        # ``rng.choice(3, p=row)`` computes ``cdf = row.cumsum(); cdf /=
+        # cdf[-1]``, draws one double ``u = rng.random()`` and returns
+        # ``cdf.searchsorted(u, side="right")``.  ``bisect_right`` over the
+        # same cdf values is that search, so each draw below consumes the
+        # same double and yields the same state, without choice's ~15 us
+        # of per-call argument checking.
+        cdfs = []
+        for row in np.asarray(cfg.cloud_transition, dtype=float):
+            cdf = row.cumsum()
+            cdf /= cdf[-1]
+            cdfs.append(cdf.tolist())
         mean_dwell_samples = max(1.0, cfg.cloud_dwell_mean_s / cfg.sample_period_s)
         factors = np.empty(n, dtype=float)
         state = 0  # start clear
@@ -172,5 +198,5 @@ class SolarTraceGenerator:
             j = min(n, i + dwell)
             factors[i:j] = attn[state]
             i = j
-            state = int(rng.choice(3, p=transition[state]))
+            state = bisect.bisect_right(cdfs[state], rng.random())
         return factors

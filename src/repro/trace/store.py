@@ -211,8 +211,10 @@ class TraceStore:
         path = os.path.join(self.directory, _MANIFEST)
         tmp = f"{path}.tmp.{os.getpid()}"
         payload = {"version": _VERSION, "entries": self._entries}
+        # json.dumps runs the C encoder; json.dump streams through the
+        # pure-Python one.  Same arguments, same bytes.
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=None)
+            handle.write(json.dumps(payload, sort_keys=True, indent=None))
         os.replace(tmp, path)
         self._dirty = False
 
@@ -238,7 +240,7 @@ class TraceStore:
             "shape": list(data.shape),
             "offset": int(offset),
             "bytes": int(data.nbytes),
-            "sha256": hashlib.sha256(data.tobytes()).hexdigest(),
+            "sha256": hashlib.sha256(data).hexdigest(),
             "meta": meta,
         }
 
@@ -455,7 +457,8 @@ class TraceStore:
         Deduplicates by config cache key first (devices sharing a trace
         or schedule cost one generation), fans generation over forked
         workers when ``jobs`` allows (each worker writes its own data
-        files; the parent merges manifest entries and saves once), and
+        files; the parent merges manifest entries and saves once, and
+        only when the manifest has unsaved entries), and
         returns ``{"traces": ..., "schedules": ..., "reused": ...}``
         counts.
         """
@@ -466,24 +469,21 @@ class TraceStore:
             trace_work.setdefault(config.trace_key(), config)
             schedule_work.setdefault(config.schedule_key(), config)
 
-        items: list[tuple[str, dict, "ExperimentConfig"]] = []
+        wanted = [("solar", c.trace_store_key(), c) for c in trace_work.values()]
+        wanted += [
+            ("events", c.schedule_store_key(), c) for c in schedule_work.values()
+        ]
+        items: list[tuple[str, str, dict, "ExperimentConfig"]] = []
         reused = 0
-        for config in trace_work.values():
-            key = config.trace_store_key()
-            if key in self:
+        for kind, key, config in wanted:
+            fingerprint = fingerprint_key(key)
+            if fingerprint in self._entries:
                 reused += 1
             else:
-                items.append(("solar", key, config))
-        for config in schedule_work.values():
-            key = config.schedule_store_key()
-            if key in self:
-                reused += 1
-            else:
-                items.append(("events", key, config))
+                items.append((kind, fingerprint, key, config))
 
         def build_one(item) -> tuple[str, dict]:
-            kind, key, config = item
-            fingerprint = fingerprint_key(key)
+            kind, fingerprint, key, config = item
             if kind == "solar":
                 data, meta = self._trace_payload(key, config.build_trace())
             else:
@@ -526,7 +526,10 @@ class TraceStore:
                     schedules += 1
         if items:
             self._dirty = True
-        self.save()
+        # The server calls this on every cold submit; rewriting an
+        # unchanged (and ever-growing) shared manifest would be wasted I/O.
+        if self._dirty:
+            self.save()
         return {"traces": traces, "schedules": schedules, "reused": reused}
 
     # -- integrity ------------------------------------------------------------

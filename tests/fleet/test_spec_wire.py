@@ -147,5 +147,11 @@ class TestConsumers:
         journal = FleetCheckpoint(str(tmp_path / "ckpt"), spec, shards=2)
         journal.initialize(resume=False)
         with open(tmp_path / "ckpt" / "manifest.json") as handle:
-            manifest = json.load(handle)
+            written = handle.read()
+        manifest = json.loads(written)
         assert FleetSpec.from_wire(manifest["spec"]) == spec
+        # Byte-identical to what json.dump with the same arguments writes.
+        expected = tmp_path / "expected.json"
+        with open(expected, "w") as handle:
+            json.dump(manifest, handle, sort_keys=True)
+        assert written == expected.read_text()

@@ -27,6 +27,16 @@ class TestResultCache:
         cache.put(SPEC, ROLLUP)
         assert cache.peek_spec(SPEC.fingerprint()) == SPEC
 
+    def test_entry_bytes_match_json_dump(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        cache.put(SPEC, ROLLUP)
+        with open(cache._path(SPEC.fingerprint())) as handle:
+            written = handle.read()
+        expected = tmp_path / "expected.json"
+        with open(expected, "w") as handle:
+            json.dump(json.loads(written), handle, sort_keys=True)
+        assert written == expected.read_text()
+
     def test_reopen_sees_entries(self, tmp_path):
         ResultCache(str(tmp_path)).put(SPEC, ROLLUP)
         cache = ResultCache(str(tmp_path))

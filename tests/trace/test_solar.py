@@ -1,10 +1,37 @@
 """Tests for the synthetic solar trace generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import TraceError
 from repro.trace.solar import SolarTraceConfig, SolarTraceGenerator
+
+
+#: sha256 over the float64 bytes of (times, powers, cum_energy,
+#: energy_per_period), keyed by (cells, seed, days).  Recorded from the
+#: rng.choice-based generator; any rewrite must reproduce them exactly.
+GOLDEN_DIGESTS = {
+    (1, 0, 1): "a9d52cd77a2f6bca2bdc1073b2528786b9b603d3e196b412a0a973d82bd66fc5",
+    (1, 0, 3): "10f1e42d46a1e654a982992b436877572ff6950d380af28efc7508e652988425",
+    (1, 1, 1): "ea74893eb0554ce48dbd5ec4c9f6489c75a0f367d4a5187b7fa2265bf4b5c62b",
+    (1, 1, 3): "e2d436ce24286621eaf465fe479eed114feda228739af9209d26fe7079c2e1ec",
+    (1, 12345, 1): "6bf86a416fa444a0d2a899533cce37b75c9475a350c8c5241940fb5e89e1fa36",
+    (1, 12345, 3): "ce9e80dbb02871728db7d8afc4bfe28325c7d87c7ec12ec97a36c59aa50f1646",
+    (6, 0, 1): "ef85f0d21f5b62e9fb5b4c8f6d5ca6b87ac49d0ea856d3e7b316c45cbd8b508b",
+    (6, 0, 3): "386725fbec79bdcbd87b3747d14305d8b6a823d38b7ed96240251f64e0e7c152",
+    (6, 1, 1): "698833f1acc5faef52273af8743b74ecad153635a7125d93991af27c1a28db34",
+    (6, 1, 3): "61ea5b96d5fc846e9c7a4e5ba9322cdf043536d38e0511a665940546d70b7d35",
+    (6, 12345, 1): "97bf975027a970120a0bd8d023a58bcbe65bd58a8edea256a3d6c2202b179255",
+    (6, 12345, 3): "14fdecb4bfa3442a9e1503db0000b79411ea28d26b64b3caa9ad8986c1ced6b7",
+    (10, 0, 1): "8075d630f97219e6d3a478e70ebed8d459aa21670ea2c0d95985c309463ce2a1",
+    (10, 0, 3): "170aa46d95acd642a201dc83092d0dddff65649ad5d8dba6b3526986aee535ab",
+    (10, 1, 1): "8af07d78bc9262ba44f45048125cf20839c641e99b79a22551bd713484ae78c9",
+    (10, 1, 3): "56d4fc5b0c071b0c35cfb2b29a4313449c41122b213223cafa6c789bde9112c3",
+    (10, 12345, 1): "81da73aac6626ec756a25b278a7ac49576c61df85b1a8aca9ecbaa9630de1863",
+    (10, 12345, 3): "f1341967d3fb8a89befc1da9e6816418a19c86d6981cb4be1ef74bb858173938",
+}
 
 
 class TestConfigValidation:
@@ -26,6 +53,25 @@ class TestConfigValidation:
             SolarTraceConfig(
                 cloud_transition=((1.0, 0.0, 0.1), (0.3, 0.4, 0.3), (0.1, 0.4, 0.5))
             )
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            # Within np.allclose's tolerance, outside Generator.choice's.
+            (0.55, 0.35, 0.10 + 5e-6),
+            (0.55, 0.35, float("nan")),
+            (0.55, 0.55, -0.10),
+        ],
+    )
+    def test_rejects_row_choice_would_refuse(self, row):
+        with pytest.raises(TraceError):
+            SolarTraceConfig(
+                cloud_transition=(row, (0.3, 0.4, 0.3), (0.15, 0.45, 0.40))
+            )
+
+    def test_accepts_row_within_choice_tolerance(self):
+        rows = ((0.55, 0.35, 0.10 + 1e-9), (0.3, 0.4, 0.3), (0.15, 0.45, 0.40))
+        SolarTraceGenerator(SolarTraceConfig(cloud_transition=rows), seed=1).generate()
 
     def test_rejects_negative_flicker(self):
         with pytest.raises(TraceError):
@@ -90,3 +136,45 @@ class TestGeneration:
         trace = SolarTraceGenerator(seed=1).generate()
         assert trace.min_power < 0.010  # below ML operating power
         assert trace.max_power > 0.120  # above the EA-SJF radio crossover
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("cells,seed,days", sorted(GOLDEN_DIGESTS))
+    def test_output_bytes_unchanged(self, cells, seed, days):
+        config = SolarTraceConfig(cells=cells)
+        trace = SolarTraceGenerator(config, seed=seed).generate(days=days)
+        digest = hashlib.sha256()
+        for array in (trace._times, trace._powers, trace._cum_energy):
+            digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+        digest.update(np.float64(trace._energy_per_period).tobytes())
+        assert digest.hexdigest() == GOLDEN_DIGESTS[(cells, seed, days)]
+
+
+def choice_cloud_factor(cfg, n, rng):
+    """The cloud chain as first written, with ``rng.choice`` per draw."""
+    attn = np.asarray(cfg.cloud_attenuation, dtype=float)
+    transition = np.asarray(cfg.cloud_transition, dtype=float)
+    mean_dwell_samples = max(1.0, cfg.cloud_dwell_mean_s / cfg.sample_period_s)
+    factors = np.empty(n, dtype=float)
+    state = 0
+    i = 0
+    while i < n:
+        dwell = max(1, int(round(rng.exponential(mean_dwell_samples))))
+        j = min(n, i + dwell)
+        factors[i:j] = attn[state]
+        i = j
+        state = int(rng.choice(3, p=transition[state]))
+    return factors
+
+
+class TestCloudDraw:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_choice_reference(self, seed):
+        draw = np.random.default_rng(1000 + seed)
+        rows = [tuple(row) for row in draw.dirichlet((0.5, 0.5, 0.5), size=3)]
+        rows[seed % 3] = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))[seed % 3]
+        cfg = SolarTraceConfig(cloud_transition=tuple(rows), cloud_dwell_mean_s=3.0)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        factors = SolarTraceGenerator(cfg)._cloud_factor(2000, ours)
+        assert np.array_equal(factors, choice_cloud_factor(cfg, 2000, theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state

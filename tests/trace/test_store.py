@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.env.events import EventSchedule
 from repro.errors import TraceError
 from repro.experiments.configs import apollo_simulation_config
+from repro.fleet.spec import FleetSpec
 from repro.trace.power_trace import PiecewiseConstantTrace
 from repro.trace.store import TraceStore, fingerprint_key, solar_store_key
 from repro.trace.solar import SolarTraceConfig, SolarTraceGenerator
@@ -184,6 +185,60 @@ class TestIntegrity:
         trace = PiecewiseConstantTrace([0.0, 5.0], [1.0, 2.0], period=None)
         with pytest.raises(TraceError, match="repeating"):
             store.put_trace(solar_store_key(SolarTraceConfig(), 1), trace)
+
+
+def store_files(directory) -> dict[str, bytes]:
+    files = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as handle:
+            files[name] = handle.read()
+    return files
+
+
+class TestBuildForSpec:
+    SPEC = FleetSpec(devices=12, seed=5, n_events=4, cells=(4, 6))
+
+    def test_rebuild_leaves_manifest_untouched(self, tmp_path):
+        store = TraceStore.create(tmp_path / "store")
+        first = store.build_for_spec(self.SPEC)
+        assert first["traces"] > 0 and first["reused"] == 0
+        manifest = os.path.join(store.directory, "manifest.json")
+        stat = os.stat(manifest)
+        before = (stat.st_mtime_ns, stat.st_ino)  # a rewrite replaces the inode
+        with open(manifest, "rb") as handle:
+            data = handle.read()
+        again = TraceStore.open(store.directory).build_for_spec(self.SPEC)
+        assert again == {
+            "traces": 0,
+            "schedules": 0,
+            "reused": first["traces"] + first["schedules"],
+        }
+        stat = os.stat(manifest)
+        assert (stat.st_mtime_ns, stat.st_ino) == before
+        with open(manifest, "rb") as handle:
+            assert handle.read() == data
+
+    def test_forked_build_is_byte_identical(self, tmp_path):
+        serial = TraceStore.create(tmp_path / "serial")
+        forked = TraceStore.create(tmp_path / "forked")
+        assert serial.build_for_spec(self.SPEC, jobs=1) == forked.build_for_spec(
+            self.SPEC, jobs=2
+        )
+        assert store_files(serial.directory) == store_files(forked.directory)
+        assert forked.verify() == []
+
+    def test_manifest_bytes_match_json_dump(self, tmp_path):
+        store = TraceStore.create(tmp_path / "store")
+        store.build_for_spec(self.SPEC)
+        with open(os.path.join(store.directory, "manifest.json")) as handle:
+            text = handle.read()
+        expected = tmp_path / "expected.json"
+        with open(expected, "w", encoding="utf-8") as handle:
+            json.dump(
+                {"version": 1, "entries": store._entries},
+                handle, sort_keys=True, indent=None,
+            )
+        assert text == expected.read_text(encoding="utf-8")
 
 
 class TestSharedMapping:
