@@ -15,7 +15,9 @@ byte:
    ``.prom`` text and metrics ``.json`` must match leg 2's byte for byte;
 4. ``--trace-store`` on both kernels, after ``python -m repro.trace
    store build`` / ``ls`` / ``verify``; a second ``store build --jobs
-   2`` must write a byte-identical manifest and ``.npy`` files;
+   2`` must write a byte-identical manifest and ``.npy`` files; the
+   vector leg reruns with the soft ``RLIMIT_NOFILE`` 16 above the open
+   fds, below the store's 48 entries, so refused mappings regenerate;
 5. the fully observed run (``--trace-out``, ``--metrics-out``,
    ``--telemetry-out``, ``--kernel-stats``), minus its ``kernel_stats``
    key; its Chrome trace, JSONL events and heartbeats must schema-validate
@@ -31,8 +33,10 @@ or absent; CI uploads it.
 
 import dataclasses
 import filecmp
+import gc
 import json
 import os
+import resource
 import sys
 import tempfile
 
@@ -162,6 +166,22 @@ def smoke(out: str) -> None:
         fleet("--kernel", kernel, "--trace-store", store,
               "--json", path(f"store-{kernel}.json"))
         same(read(path(f"store-{kernel}.json")), f"--trace-store --kernel {kernel}")
+    # A soft fd limit below the store's entry count: refused mappings must
+    # regenerate from the generators, not fail the fleet.
+    entries = len(json.loads(read(os.path.join(store, "manifest.json")))["entries"])
+    gc.collect()
+    limit = len(os.listdir("/dev/fd")) + 16
+    if limit >= entries:
+        fail(f"fd-limited leg needs more than {limit} store entries, has {entries}")
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (limit, hard))
+    try:
+        fleet("--kernel", "vector", "--trace-store", store,
+              "--json", path("store-fd-limited.json"))
+    finally:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+    same(read(path("store-fd-limited.json")),
+         f"--trace-store --kernel vector under a {limit}-fd limit")
 
     # 5. Fully observed: artifacts validate and the rollup is unchanged.
     fleet("--shards", str(SHARDS), "--kernel", "vector", "--kernel-stats",

@@ -105,7 +105,8 @@ def add_core_flags(parser: argparse.ArgumentParser) -> None:
         help="simulation kernel: 'scalar' runs the reference engine per "
         "device, 'vector' advances covered devices in numpy lockstep "
         "(bit-identical results; uncovered devices fall back to scalar), "
-        "'auto' (default) picks vector when every policy is covered",
+        "'auto' (default) picks vector when every policy is covered and "
+        "every shard has at least 256 devices",
     )
     parser.add_argument(
         "--trace-store",

@@ -1876,7 +1876,7 @@ def _run_lane_groups(vector_lanes, stats: KernelStats | None = None,
 
 def vector_shard_outcomes(
     spec, device_range, retries: int = 1, factories=None,
-    stats: KernelStats | None = None, tracer=None, store=None,
+    stats: KernelStats | None = None, tracer=None, store=None, names=None,
 ):
     """Simulate ``device_range`` of ``spec``; return ``{device: outcome}``.
 
@@ -1889,7 +1889,9 @@ def vector_shard_outcomes(
     (fallback lanes emit through the scalar engine, wrapped in a
     stamping sink, so the stream stays device-attributed either way).
     ``store`` (a :class:`repro.trace.store.TraceStore`) replaces per-lane
-    trace/schedule regeneration with zero-copy memmap attach.
+    trace/schedule regeneration with zero-copy memmap attach.  ``names``,
+    when given, receives ``{device: policy name}`` from the lanes, so
+    callers need not re-derive device configs.
     """
     if factories is None:
         from repro.experiments.harness import standard_policies
@@ -1910,6 +1912,9 @@ def vector_shard_outcomes(
             stats.attach_s += attach_s
             stats.lanes += len(vector_lanes)
             stats.scalar_lanes += len(scalar_lanes)
+        if names is not None:
+            for lane in vector_lanes + scalar_lanes:
+                names[lane.device] = lane.policy_name
         rerun = list(scalar_lanes)
         for lane, metrics in _run_lane_groups(vector_lanes, stats, tracer):
             if metrics is None:

@@ -83,9 +83,9 @@ def _resolve_store(trace_store):
     """Normalize ``trace_store``: a directory path opens a TraceStore.
 
     Resolved once in the parent before the shard fan-out — forked workers
-    inherit the already-parsed manifest and the read-only file mappings,
-    so attaching a store adds no per-worker setup and no extra RSS (the
-    mapped pages are shared).
+    inherit the already-parsed manifest, so attaching a store adds no
+    per-worker setup and no extra RSS (the mapped pages are shared
+    through the page cache).
     """
     if trace_store is None or isinstance(trace_store, str):
         if trace_store is None:
@@ -96,15 +96,38 @@ def _resolve_store(trace_store):
     return trace_store
 
 
-def resolve_kernel(spec: FleetSpec, kernel: str, factories=None) -> str:
+#: Narrowest shard ``auto`` sends to the vector kernel: the measured
+#: crossover below which the kernel's fixed per-iteration numpy cost loses
+#: to the scalar engine (DESIGN.md, "The vector fleet kernel").
+_MIN_VECTOR_LANES = 256
+
+
+def _auto_choice(spec: FleetSpec, shards: int, factories=None) -> tuple[str, str]:
+    """``(kernel, reason)`` that ``auto`` resolves to for ``spec``."""
+    from repro.fleet.kernel import VECTOR_KERNEL_POLICIES
+
+    covered = VECTOR_KERNEL_POLICIES(factories or standard_policies())
+    uncovered = [name for name in spec.policies if name not in covered]
+    if uncovered:
+        return "scalar", f"{', '.join(uncovered)} not vector-covered"
+    width = spec.devices // max(1, shards)
+    if width < _MIN_VECTOR_LANES:
+        return "scalar", f"{width} devices per shard < {_MIN_VECTOR_LANES}"
+    return "vector", f"{width} devices per shard >= {_MIN_VECTOR_LANES}"
+
+
+def resolve_kernel(
+    spec: FleetSpec, kernel: str, factories=None, shards: int = 1
+) -> str:
     """Collapse ``"auto"`` to a concrete kernel for ``spec``.
 
     ``auto`` picks the vector kernel when *every* policy in the spec's
-    mix is inside the vector envelope (:func:`VECTOR_KERNEL_POLICIES`),
-    and the scalar engine otherwise — a spec-level decision, so every
-    shard of a fleet resolves identically.  Explicit kernels pass
-    through unchanged (``"vector"`` still falls back per device for
-    anything outside the envelope).
+    mix is inside the vector envelope (:func:`VECTOR_KERNEL_POLICIES`)
+    *and* each of the ``shards`` shards is at least ``_MIN_VECTOR_LANES``
+    devices wide, and the scalar engine otherwise — a fleet-level
+    decision, so every shard of a fleet resolves identically.  Explicit
+    kernels pass through unchanged (``"vector"`` still falls back per
+    device for anything outside the envelope).
     """
     if kernel not in _KERNELS:
         raise ConfigurationError(
@@ -112,12 +135,7 @@ def resolve_kernel(spec: FleetSpec, kernel: str, factories=None) -> str:
         )
     if kernel != "auto":
         return kernel
-    from repro.fleet.kernel import VECTOR_KERNEL_POLICIES
-
-    if factories is None:
-        factories = standard_policies()
-    covered = VECTOR_KERNEL_POLICIES(factories)
-    return "vector" if set(spec.policies) <= covered else "scalar"
+    return _auto_choice(spec, shards, factories)[0]
 
 
 def run_shard(
@@ -157,7 +175,7 @@ def run_shard(
     byte-identical to the generator path by ``tests/fleet``.  Missing
     entries fall back to the generators silently.
     """
-    kernel = resolve_kernel(spec, kernel)
+    kernel = resolve_kernel(spec, kernel, shards=shards)
     device_range = shard_ranges(spec.devices, shards)[shard]
     factories = standard_policies()
     store = _resolve_store(trace_store)
@@ -165,12 +183,13 @@ def run_shard(
     if kernel == "vector":
         from repro.fleet.kernel import vector_shard_outcomes
 
+        names: dict[int, str] = {}
         outcomes = vector_shard_outcomes(
             spec, device_range, retries=retries, factories=factories,
-            stats=stats, tracer=tracer, store=store,
+            stats=stats, tracer=tracer, store=store, names=names,
         )
         for device in device_range:
-            policy_name = spec.device_config(device)[0]
+            policy_name = names[device]
             outcome = outcomes[device]
             if isinstance(outcome, RunFailure):
                 rollup.observe_failure(device, policy_name, outcome.error)
@@ -240,8 +259,9 @@ def run_fleet(
         lockstep numpy kernel (bit-identical rollup; Quetzal and other
         uncovered devices fall back to the scalar engine automatically);
         ``"auto"`` picks vector when every policy in the spec's mix is
-        inside the vector envelope, scalar otherwise (see
-        :func:`resolve_kernel`), logging the choice via ``progress``.
+        inside the vector envelope and every shard is at least 256
+        devices wide, scalar otherwise (see :func:`resolve_kernel`),
+        logging the choice and its reason via ``progress``.
     recorder:
         Optional :class:`repro.sim.telemetry.FleetRecorder`; receives one
         ``on_shard`` call per shard (in shard order) and ``on_fleet_end``
@@ -274,13 +294,13 @@ def run_fleet(
     """
     shards = min(max(1, shards), spec.devices)
     trace_store = _resolve_store(trace_store)
-    requested_kernel = kernel
-    kernel = resolve_kernel(spec, kernel)
-    if requested_kernel == "auto" and progress is not None:
+    if kernel == "auto" and progress is not None:
+        kernel, reason = _auto_choice(spec, shards)
         progress(
             f"[fleet] kernel auto -> {kernel} "
-            f"(policies: {', '.join(spec.policies)})"
+            f"({reason}; policies: {', '.join(spec.policies)})"
         )
+    kernel = resolve_kernel(spec, kernel, shards=shards)
     if stop_after is not None:
         if checkpoint is None:
             raise ConfigurationError("stop_after requires a checkpoint directory")

@@ -39,10 +39,12 @@ CLI::
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
 import json
 import mmap
 import os
+import weakref
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -125,20 +127,25 @@ class TraceStore:
     attached, memmap-backed objects — ``None`` when the entry is absent,
     so callers can fall back to the generators.
 
-    Attached objects are cached per fingerprint (they are immutable), and
-    config-level lookups memoize on the config's cheap ``trace_key()`` /
-    ``schedule_key()`` tuples so the per-device hot path never re-hashes
-    JSON.
+    Attached objects are shared per fingerprint while anything holds
+    them (they are immutable) and released with their mapping when the
+    last holder drops them; config-level lookups memoize the fingerprint
+    on the config's cheap ``trace_key()`` / ``schedule_key()`` tuples so
+    the per-device hot path never re-hashes JSON.
     """
 
     def __init__(self, directory: str | os.PathLike, *, create: bool = False):
         self.directory = os.fspath(directory)
         self._entries: dict[str, dict] = {}
         self._dirty = False
-        self._attached: dict[str, object] = {}
+        # Attachments live exactly as long as a lane or engine holds them:
+        # a forever-memo would pin every mmap, its fd and the lazily built
+        # list mirrors for the store's lifetime.
+        self._attached: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         self._times_cache: dict[tuple, np.ndarray] = {}
-        self._trace_memo: dict[tuple, PiecewiseConstantTrace | None] = {}
-        self._schedule_memo: dict[tuple, EventSchedule | None] = {}
+        # trace_key()/schedule_key() -> entry fingerprint.
+        self._trace_memo: dict[tuple, str] = {}
+        self._schedule_memo: dict[tuple, str] = {}
         manifest = os.path.join(self.directory, _MANIFEST)
         if os.path.exists(manifest):
             try:
@@ -343,22 +350,22 @@ class TraceStore:
 
     # -- attaching ------------------------------------------------------------
 
-    def _mapped(self, fingerprint: str) -> np.ndarray:
-        entry = self._entries[fingerprint]
+    def _mapped(self, entry: dict) -> np.ndarray | None:
         path = os.path.join(self.directory, entry["file"])
         offset = entry["offset"]
         try:
             # The manifest records the data offset at write time, so the
             # mapping skips the per-file .npy header parse; verify() still
             # cross-checks the real header against the manifest.  Mapping
-            # through mmap + frombuffer (rather than np.memmap) trims the
-            # per-entry constructor overhead, which is measurable when a
-            # fleet attaches tens of thousands of entries.
-            with open(path, "rb") as handle:
-                mapping = mmap.mmap(
-                    handle.fileno(), 0, access=mmap.ACCESS_READ
-                )
-            if mapping.size() != offset + entry["bytes"]:
+            # through os.open + mmap + frombuffer (rather than np.memmap or
+            # a buffered open()) trims the per-entry overhead, which is
+            # measurable when a fleet attaches tens of thousands of entries.
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+            finally:
+                os.close(fd)
+            if len(mapping) != offset + entry["bytes"]:
                 raise TraceError(
                     f"trace store entry {entry['file']} is truncated"
                 )
@@ -366,6 +373,10 @@ class TraceStore:
                 mapping, dtype=np.float64, offset=offset
             ).reshape(entry["shape"])
         except (OSError, ValueError) as exc:
+            # Each live mapping holds one dup'ed fd, so a wide batch can
+            # exhaust the fd limit; the generator rebuilds the same bytes.
+            if getattr(exc, "errno", None) in (errno.EMFILE, errno.ENFILE):
+                return None
             raise TraceError(
                 f"trace store entry {entry['file']} unreadable: {exc}"
             ) from exc
@@ -380,69 +391,70 @@ class TraceStore:
             self._times_cache[cache_key] = times
         return times
 
-    def get_trace(self, key: dict) -> PiecewiseConstantTrace | None:
-        """Attach the stored trace for ``key`` (``None`` if absent)."""
-        fingerprint = fingerprint_key(key)
-        cached = self._attached.get(fingerprint)
-        if cached is not None:
-            return cached  # type: ignore[return-value]
+    def _attach(self, fingerprint: str, kind: str):
+        """The live attachment for ``fingerprint``, mapping it if needed.
+
+        ``None`` when the store lacks the entry or the fd limit refused
+        the mapping; callers then fall back to the generators.
+        """
+        attached = self._attached.get(fingerprint)
+        if attached is not None:
+            return attached
         entry = self._entries.get(fingerprint)
         if entry is None:
             return None
-        if entry["kind"] != "solar":
-            raise TraceError(f"entry for {key!r} is {entry['kind']}, not solar")
-        data = self._mapped(fingerprint)
+        if entry["kind"] != kind:
+            raise TraceError(
+                f"entry for {entry['key']!r} is {entry['kind']}, not {kind}"
+            )
+        data = self._mapped(entry)
+        if data is None:
+            return None
         meta = entry["meta"]
-        trace = PiecewiseConstantTrace._attach(
-            self._times(entry["shape"][1], meta["sample_period"]),
-            data[0],
-            data[1],
-            meta["period"],
-            meta["energy_per_period"],
-        )
-        self._attached[fingerprint] = trace
-        return trace
+        if kind == "solar":
+            attached = PiecewiseConstantTrace._attach(
+                self._times(entry["shape"][1], meta["sample_period"]),
+                data[0],
+                data[1],
+                meta["period"],
+                meta["energy_per_period"],
+            )
+        else:
+            attached = EventSchedule._from_arrays(
+                data[0],
+                data[1],
+                data[2] != 0.0,
+                meta["diff_probability"],
+                meta["background_diff_probability"],
+            )
+        self._attached[fingerprint] = attached
+        return attached
+
+    def get_trace(self, key: dict) -> PiecewiseConstantTrace | None:
+        """Attach the stored trace for ``key`` (``None`` on a miss)."""
+        return self._attach(fingerprint_key(key), "solar")
 
     def get_schedule(self, key: dict) -> EventSchedule | None:
-        """Attach the stored schedule for ``key`` (``None`` if absent)."""
-        fingerprint = fingerprint_key(key)
-        cached = self._attached.get(fingerprint)
-        if cached is not None:
-            return cached  # type: ignore[return-value]
-        entry = self._entries.get(fingerprint)
-        if entry is None:
-            return None
-        if entry["kind"] != "events":
-            raise TraceError(f"entry for {key!r} is {entry['kind']}, not events")
-        data = self._mapped(fingerprint)
-        meta = entry["meta"]
-        schedule = EventSchedule._from_arrays(
-            data[0],
-            data[1],
-            data[2] != 0.0,
-            meta["diff_probability"],
-            meta["background_diff_probability"],
-        )
-        self._attached[fingerprint] = schedule
-        return schedule
+        """Attach the stored schedule for ``key`` (``None`` on a miss)."""
+        return self._attach(fingerprint_key(key), "events")
 
     def trace_for(self, config: "ExperimentConfig") -> PiecewiseConstantTrace | None:
         """The stored trace for a config, memoized on ``trace_key()``."""
         memo_key = config.trace_key()
-        if memo_key in self._trace_memo:
-            return self._trace_memo[memo_key]
-        trace = self.get_trace(config.trace_store_key())
-        self._trace_memo[memo_key] = trace
-        return trace
+        fingerprint = self._trace_memo.get(memo_key)
+        if fingerprint is None:
+            fingerprint = fingerprint_key(config.trace_store_key())
+            self._trace_memo[memo_key] = fingerprint
+        return self._attach(fingerprint, "solar")
 
     def schedule_for(self, config: "ExperimentConfig") -> EventSchedule | None:
         """The stored schedule for a config, memoized on ``schedule_key()``."""
         memo_key = config.schedule_key()
-        if memo_key in self._schedule_memo:
-            return self._schedule_memo[memo_key]
-        schedule = self.get_schedule(config.schedule_store_key())
-        self._schedule_memo[memo_key] = schedule
-        return schedule
+        fingerprint = self._schedule_memo.get(memo_key)
+        if fingerprint is None:
+            fingerprint = fingerprint_key(config.schedule_store_key())
+            self._schedule_memo[memo_key] = fingerprint
+        return self._attach(fingerprint, "events")
 
     # -- bulk build -----------------------------------------------------------
 

@@ -89,17 +89,29 @@ class TestRandomizedParity:
 
 class TestAutoKernel:
     def test_auto_resolves_vector_for_covered_mix(self):
-        spec = FleetSpec(devices=4, policies=("NA", "AD", "TH50"))
-        assert resolve_kernel(spec, "auto") == "vector"
+        spec = FleetSpec(devices=256, policies=("NA", "AD", "TH50"))
+        assert resolve_kernel(spec, "auto", shards=1) == "vector"
 
-    def test_auto_resolves_scalar_when_any_policy_uncovered(self):
-        spec = FleetSpec(devices=4, policies=("NA", "QZ"))
+    def test_auto_resolves_scalar_for_narrow_covered_mix(self):
+        spec = FleetSpec(devices=4, policies=("NA", "AD", "TH50"))
         assert resolve_kernel(spec, "auto") == "scalar"
 
+    def test_auto_judges_width_per_shard(self):
+        # 512 devices over 4 shards is 128 lanes per shard: below 256.
+        spec = FleetSpec(devices=512, policies=("NA", "AD", "TH50"))
+        assert resolve_kernel(spec, "auto", shards=2) == "vector"
+        assert resolve_kernel(spec, "auto", shards=4) == "scalar"
+
+    def test_auto_resolves_scalar_when_any_policy_uncovered(self):
+        for devices in (4, 256, 4096):
+            spec = FleetSpec(devices=devices, policies=("NA", "QZ"))
+            assert resolve_kernel(spec, "auto") == "scalar"
+
     def test_explicit_kernels_pass_through(self):
-        spec = FleetSpec(devices=4, policies=("NA", "QZ"))
-        assert resolve_kernel(spec, "scalar") == "scalar"
-        assert resolve_kernel(spec, "vector") == "vector"
+        for spec in (FleetSpec(devices=4, policies=("NA", "QZ")),
+                     FleetSpec(devices=4096, policies=("NA", "AD"))):
+            assert resolve_kernel(spec, "scalar") == "scalar"
+            assert resolve_kernel(spec, "vector") == "vector"
 
     def test_unknown_kernel_rejected(self):
         spec = FleetSpec(devices=4)
@@ -113,7 +125,30 @@ class TestAutoKernel:
                          progress=lines.append)
         explicit = run_fleet(spec, shards=2, jobs=1, kernel="vector")
         assert auto.rollup.to_dict() == explicit.rollup.to_dict()
-        assert any("kernel auto -> vector" in line for line in lines)
+        assert (
+            "[fleet] kernel auto -> scalar "
+            "(3 devices per shard < 256; policies: NA, TH50)"
+        ) in lines
+
+    def test_run_fleet_auto_logs_uncovered_policy(self):
+        spec = FleetSpec(devices=4, n_events=1, policies=("NA", "QZ"))
+        lines = []
+        run_fleet(spec, kernel="auto", progress=lines.append)
+        assert (
+            "[fleet] kernel auto -> scalar "
+            "(QZ not vector-covered; policies: NA, QZ)"
+        ) in lines
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("devices, chosen", [(255, "scalar"), (256, "vector")])
+    def test_run_fleet_auto_at_the_crossover(self, devices, chosen):
+        spec = FleetSpec(devices=devices, n_events=1, policies=("NA", "AD", "TH50"))
+        lines = []
+        auto = run_fleet(spec, kernel="auto", progress=lines.append)
+        assert lines[0].startswith(f"[fleet] kernel auto -> {chosen} ")
+        for kernel in ("scalar", "vector"):
+            explicit = run_fleet(spec, kernel=kernel)
+            assert auto.rollup.to_dict() == explicit.rollup.to_dict()
 
     def test_run_shard_accepts_auto(self):
         spec = FleetSpec(devices=4, n_events=8, policies=("NA", "QZ"))

@@ -8,8 +8,14 @@ and attached arrays must stay file-backed so forked workers share one
 page-cache copy instead of duplicating the library per process.
 """
 
+import errno
+import gc
 import json
 import os
+import subprocess
+import sys
+import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -288,6 +294,129 @@ class TestSharedMapping:
         assert len(totals) == 1  # both workers read identical data
         for _, grown_kb in results:
             assert grown_kb < payload_kb / 2
+
+
+def open_fds() -> int | None:
+    """Open fd count of this process (``None`` off Linux)."""
+    if not os.path.isdir("/proc/self/fd"):
+        return None
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestAttachmentLifetime:
+    """Attachments are run-scoped: held while a lane or engine uses them,
+    released (mapping, fd and lazy list mirrors) when the run drops them."""
+
+    def test_memo_dedupes_while_held(self, tmp_path):
+        config = small_config()
+        store = populated(tmp_path, config)
+        trace = store.trace_for(config)
+        schedule = store.schedule_for(config)
+        gc.collect()
+        assert store.trace_for(config) is trace
+        assert store.schedule_for(config) is schedule
+        ref = weakref.ref(trace)
+        del trace
+        gc.collect()
+        assert ref() is None
+        assert store.trace_for(config) is not None  # re-attaches on demand
+
+    @pytest.mark.parametrize("kernel", ["scalar", "vector"])
+    def test_run_releases_attachments(self, kernel, tmp_path):
+        from repro.fleet import run_fleet
+
+        spec = FleetSpec(devices=8, seed=11, n_events=2,
+                         policies=("NA", "AD", "TH50"))
+        store = TraceStore.create(tmp_path / "store")
+        store.build_for_spec(spec)
+        refs = []
+        trace_for = store.trace_for
+
+        def spy(config):
+            trace = trace_for(config)
+            refs.append(weakref.ref(trace))
+            return trace
+
+        store.trace_for = spy
+        gc.collect()
+        before = open_fds()
+        run_fleet(spec, kernel=kernel, trace_store=store)
+        gc.collect()
+        assert len(refs) == spec.devices
+        assert all(ref() is None for ref in refs)
+        assert open_fds() == before
+
+    def test_fd_exhaustion_is_a_miss(self, tmp_path, monkeypatch):
+        config = small_config()
+        store = populated(tmp_path, config)
+
+        def exhausted(*args):
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(os, "open", exhausted)
+        assert store.trace_for(config) is None
+        assert store.schedule_for(config) is None
+
+    def test_other_os_errors_still_raise(self, tmp_path, monkeypatch):
+        config = small_config()
+        store = populated(tmp_path, config)
+
+        def denied(*args):
+            raise OSError(errno.EACCES, "Permission denied")
+
+        monkeypatch.setattr(os, "open", denied)
+        with pytest.raises(TraceError, match="unreadable"):
+            store.trace_for(config)
+
+    def test_vector_fleet_survives_a_low_fd_limit(self, tmp_path):
+        pytest.importorskip("resource")
+        script = textwrap.dedent("""
+            import json, resource, sys
+            from repro.fleet import FleetSpec, run_fleet
+            from repro.trace.store import TraceStore
+
+            spec = FleetSpec(devices=64, seed=5, n_events=2,
+                             policies=("NA", "AD", "TH50"))
+            store = TraceStore.create(sys.argv[1])
+            store.build_for_spec(spec)
+            misses = []
+            trace_for = store.trace_for
+
+            def spy(config):
+                trace = trace_for(config)
+                misses.append(trace is None)
+                return trace
+
+            store.trace_for = spy
+
+            def rollup(**kwargs):
+                result = run_fleet(spec, kernel="vector", **kwargs)
+                return json.dumps(result.rollup.to_dict(), sort_keys=True)
+
+            plain = rollup()
+            soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))
+            try:
+                backed = rollup(trace_store=store)
+            finally:
+                resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+            print(json.dumps({"same": backed == plain, "entries": len(store),
+                              "misses": sum(misses)}))
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "store")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.strip().splitlines()[-1])
+        assert report["entries"] == 128  # more entries than the fd limit
+        assert report["misses"] > 0      # the limit really refused mappings
+        assert report["same"]
 
 
 class TestCli:
