@@ -14,10 +14,11 @@ byte:
 3. ``--shards``/``--jobs`` varied (also writing ``--metrics-out``): the
    ``.prom`` text and metrics ``.json`` must match leg 2's byte for byte;
 4. ``--trace-store`` on both kernels, after ``python -m repro.trace
-   store build`` / ``ls`` / ``verify``; a second ``store build --jobs
-   2`` must write a byte-identical manifest and ``.npy`` files; the
+   store build`` / ``ls`` / ``verify``; the store must hold one segment
+   file per 256 entries beside its manifest, and a second ``store build
+   --jobs 2`` must write a byte-identical manifest and segment files; the
    vector leg reruns with the soft ``RLIMIT_NOFILE`` 16 above the open
-   fds, below the store's 48 entries, so refused mappings regenerate;
+   fds, below the store's 48 entries, and must still match;
 5. the fully observed run (``--trace-out``, ``--metrics-out``,
    ``--telemetry-out``, ``--kernel-stats``), minus its ``kernel_stats``
    key; its Chrome trace, JSONL events and heartbeats must schema-validate
@@ -145,8 +146,9 @@ def smoke(out: str) -> None:
         if read(path("metrics-vector" + ext)) != read(path("metrics-varied" + ext)):
             fail(f"metrics{ext} differs across run configurations")
 
-    # 4. Trace store on both kernels; a forked (--jobs 2) build must write
-    # the same manifest and data files, byte for byte.
+    # 4. Trace store on both kernels; entries pack 256 to a segment file,
+    # and a forked (--jobs 2) build must write the same manifest and
+    # segments, byte for byte.
     store, forked = path("store"), path("store-forked")
     for directory, jobs in ((store, "1"), (forked, "2")):
         run("repro.trace", "store", "build", directory,
@@ -154,6 +156,10 @@ def smoke(out: str) -> None:
             "--name", SPEC.name, "--events", str(SPEC.n_events),
             "--policies", ",".join(SPEC.policies), "--jobs", jobs, "--quiet")
     names = sorted(os.listdir(store))
+    entries = len(json.loads(read(os.path.join(store, "manifest.json")))["entries"])
+    if len(names) != -(-entries // 256) + 1:
+        fail(f"store holds {len(names)} files for {entries} entries; expected "
+             "one segment per 256 entries plus manifest.json")
     if names != sorted(os.listdir(forked)):
         fail("--jobs 2 store holds different files than the --jobs 1 store")
     _, mismatch, errors = filecmp.cmpfiles(store, forked, names, shallow=False)
@@ -166,9 +172,8 @@ def smoke(out: str) -> None:
         fleet("--kernel", kernel, "--trace-store", store,
               "--json", path(f"store-{kernel}.json"))
         same(read(path(f"store-{kernel}.json")), f"--trace-store --kernel {kernel}")
-    # A soft fd limit below the store's entry count: refused mappings must
-    # regenerate from the generators, not fail the fleet.
-    entries = len(json.loads(read(os.path.join(store, "manifest.json")))["entries"])
+    # A soft fd limit below the store's entry count: the run must still
+    # match (any refused mapping regenerates instead of failing the fleet).
     gc.collect()
     limit = len(os.listdir("/dev/fd")) + 16
     if limit >= entries:

@@ -54,6 +54,7 @@ from repro.trace.store import TraceStore
 __all__ = ["ServeConfig", "FleetServer", "ServerHandle", "start_background"]
 
 _KERNELS = ("auto", "scalar", "vector")
+_FRAME_LIMIT = 64 * 1024  # bytes per request line (asyncio's default)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -173,7 +174,8 @@ class FleetServer:
         self._loop = asyncio.get_running_loop()
         self._stopping = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+            self._handle_connection, self.config.host, self.config.port,
+            limit=_FRAME_LIMIT,
         )
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
 
@@ -198,7 +200,14 @@ class FleetServer:
     async def _handle_connection(self, reader, writer) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # a frame past the stream limit
+                    await self._send(writer, protocol.error_response(
+                        f"request frame exceeds the {_FRAME_LIMIT // 1024} KiB "
+                        "limit; closing the connection"
+                    ))
+                    break
                 if not line:
                     break
                 try:

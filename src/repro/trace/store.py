@@ -6,28 +6,39 @@ them in-process — ~11 s of the 8192-device ``fleet_scale`` setup was
 spent re-running the cloud Markov chain and the event draw loops.  This
 module turns that recompute into a *read*: a directory holding
 
-* one ``.npy`` file per ``(trace-kind, params, seed)`` entry, written in
+* immutable segment files, ``seg-<sha256 of their entry fingerprints>
+  [:20].bin``, each packing up to 256 ``(trace-kind, params, seed)``
+  entries as raw ``float64`` payloads back to back (64-byte aligned), in
   exactly the columnar layout the consumers bind —
 
-  - ``solar``  : ``float64 (2, N)`` rows ``[powers, cum_energy]``
+  - ``solar``  : ``(2, N)`` rows ``[powers, cum_energy]``
     (``times`` is the implied uniform grid ``arange(N) * sample_period``
     and is rebuilt, once, shared across every attached trace);
-  - ``events`` : ``float64 (3, E)`` rows ``[starts, durations,
-    interesting]`` (the ``EventSchedule.arrays()`` columns);
+  - ``events`` : ``(3, E)`` rows ``[starts, durations, interesting]``
+    (the ``EventSchedule.arrays()`` columns);
 
-* a ``manifest.json`` keyed by the SHA-256 fingerprint of the entry's
-  canonical key (same construction as ``FleetCheckpoint`` manifests:
-  sorted-keys JSON, atomic tmp + ``os.replace`` writes), recording each
-  entry's file, shape, data digest, and the scalar metadata needed to
-  re-attach without recomputation (``period``, ``energy_per_period``, …).
+* a ``manifest.json`` (version 2) keyed by the SHA-256 fingerprint of the
+  entry's canonical key (same construction as ``FleetCheckpoint``
+  manifests: sorted-keys JSON, atomic tmp + ``os.replace`` writes),
+  recording each entry's segment, offset, shape, data digest, and the
+  scalar metadata needed to re-attach without recomputation (``period``,
+  ``energy_per_period``, …), plus each segment's size.  A version-1
+  manifest (one ``.npy`` file per entry) still loads: each of its files
+  is a one-entry segment of size ``offset + bytes``, and the next save
+  writes version 2.
 
-Attach is zero-copy: ``np.load(..., mmap_mode="r")`` maps the file and
-:meth:`PiecewiseConstantTrace._attach` / :meth:`EventSchedule._from_arrays`
-bind row views directly, so N fleet workers (forked or independent) share
-one page-cache copy of a GB-scale trace library.  Entries are immutable
-once written — a fingerprint never changes meaning — which is what makes
-the store safe to share between concurrent runs and to reuse across
-specs (any config whose ``(params, seed)`` matches hits the same file).
+Attach is zero-copy: each segment is mapped once, while any of its
+entries is attached, and :meth:`PiecewiseConstantTrace._attach` /
+:meth:`EventSchedule._from_arrays` bind row views of it directly, so N
+fleet workers (forked or independent) share one page-cache copy of a
+GB-scale trace library.  Entries are immutable once written — a
+fingerprint never changes meaning — which is what makes the store safe
+to share between concurrent runs and to reuse across specs (any config
+whose ``(params, seed)`` matches hits the same entry).  The manifest is
+saved only after the segments it names are in place, so a writer killed
+mid-build leaves at worst unnamed segments or ``*.tmp.<pid>`` files: no
+manifest references them, and a rebuild rewrites the same entries under
+the same segment name.
 
 CLI::
 
@@ -66,7 +77,11 @@ __all__ = [
 ]
 
 _MANIFEST = "manifest.json"
-_VERSION = 1
+_VERSION = 2
+# Entries per segment file, in build order.  A constant, so the files a
+# build writes never depend on ``jobs``.
+_SEGMENT_ENTRIES = 256
+_ALIGN = 64
 
 
 # -- entry keys ---------------------------------------------------------------
@@ -137,11 +152,14 @@ class TraceStore:
     def __init__(self, directory: str | os.PathLike, *, create: bool = False):
         self.directory = os.fspath(directory)
         self._entries: dict[str, dict] = {}
+        self._segments: dict[str, int] = {}  # segment file -> size in bytes
         self._dirty = False
-        # Attachments live exactly as long as a lane or engine holds them:
-        # a forever-memo would pin every mmap, its fd and the lazily built
+        # Attachments live exactly as long as a lane or engine holds them,
+        # and a segment's mapping as long as any of its attachments: a
+        # forever-memo would pin every mmap, its fd and the lazily built
         # list mirrors for the store's lifetime.
         self._attached: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+        self._maps: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         self._times_cache: dict[tuple, np.ndarray] = {}
         # trace_key()/schedule_key() -> entry fingerprint.
         self._trace_memo: dict[tuple, str] = {}
@@ -157,12 +175,16 @@ class TraceStore:
                     f"manifest: {exc}"
                 ) from exc
             version = data.get("version") if isinstance(data, dict) else None
-            if version != _VERSION:
+            if version not in (1, _VERSION):
                 raise TraceError(
                     f"trace store {self.directory} has manifest version "
-                    f"{version!r}; this build reads {_VERSION}"
+                    f"{version!r}; this build reads 1 and {_VERSION}"
                 )
             self._entries = data["entries"]
+            # A v1 entry is its own .npy file whose payload ends the file.
+            self._segments = data["segments"] if version == _VERSION else {
+                e["file"]: e["offset"] + e["bytes"] for e in self._entries.values()
+            }
         elif create:
             os.makedirs(self.directory, exist_ok=True)
             self.save()
@@ -217,7 +239,8 @@ class TraceStore:
         """Atomically write the manifest (tmp + ``os.replace``)."""
         path = os.path.join(self.directory, _MANIFEST)
         tmp = f"{path}.tmp.{os.getpid()}"
-        payload = {"version": _VERSION, "entries": self._entries}
+        payload = {"version": _VERSION, "entries": self._entries,
+                   "segments": self._segments}
         # json.dumps runs the C encoder; json.dump streams through the
         # pure-Python one.  Same arguments, same bytes.
         with open(tmp, "w", encoding="utf-8") as handle:
@@ -227,29 +250,38 @@ class TraceStore:
 
     # -- writing --------------------------------------------------------------
 
-    def _write_entry(self, fingerprint: str, key: dict, data: np.ndarray,
-                     meta: dict) -> dict:
-        kind = key["kind"]
-        filename = f"{kind}-{fingerprint[:20]}.npy"
+    def _write_segment(self, fingerprints: list[str], payloads) -> tuple:
+        """Write one segment: ``payloads`` yields ``(key, data, meta)`` per
+        fingerprint, in order.  Returns ``(file, size, entries)``.
+
+        The file name hashes the fingerprints, so the same entries always
+        make the same file; each payload is written as it is produced, so
+        a segment's payloads never sit in memory together.
+        """
+        digest = hashlib.sha256("".join(fingerprints).encode()).hexdigest()
+        filename = f"seg-{digest[:20]}.bin"
         path = os.path.join(self.directory, filename)
         tmp = f"{path}.tmp.{os.getpid()}"
+        entries = []
         with open(tmp, "wb") as handle:
-            np.lib.format.write_array(handle, data, allow_pickle=False)
-            # Data start recorded in the manifest so attach can np.memmap
-            # at a known offset instead of re-parsing the .npy header per
-            # entry (the header parse dominated attach time at fleet scale).
-            offset = handle.tell() - data.nbytes
+            for fingerprint, (key, data, meta) in zip(fingerprints, payloads):
+                handle.write(bytes(-handle.tell() % _ALIGN))
+                entries.append((fingerprint, {
+                    "kind": key["kind"], "key": key, "file": filename,
+                    "shape": list(data.shape), "offset": handle.tell(),
+                    "bytes": int(data.nbytes), "meta": meta,
+                    "sha256": hashlib.sha256(data).hexdigest(),
+                }))
+                handle.write(data)
+            size = handle.tell()
         os.replace(tmp, path)
-        return {
-            "kind": kind,
-            "key": key,
-            "file": filename,
-            "shape": list(data.shape),
-            "offset": int(offset),
-            "bytes": int(data.nbytes),
-            "sha256": hashlib.sha256(data).hexdigest(),
-            "meta": meta,
-        }
+        return filename, size, entries
+
+    def _add_segment(self, segment: tuple) -> None:
+        filename, size, entries = segment
+        self._segments[filename] = size
+        self._entries.update(entries)
+        self._dirty = True
 
     @staticmethod
     def _trace_payload(key: dict, trace: PiecewiseConstantTrace) -> tuple:
@@ -302,22 +334,16 @@ class TraceStore:
         """
         fingerprint = fingerprint_key(key)
         if fingerprint not in self._entries:
-            data, meta = self._trace_payload(key, trace)
-            self._entries[fingerprint] = self._write_entry(
-                fingerprint, key, data, meta
-            )
-            self._dirty = True
+            payload = (key, *self._trace_payload(key, trace))
+            self._add_segment(self._write_segment([fingerprint], [payload]))
         return fingerprint
 
     def put_schedule(self, key: dict, schedule: EventSchedule) -> str:
         """Persist an event schedule under ``key``; returns its fingerprint."""
         fingerprint = fingerprint_key(key)
         if fingerprint not in self._entries:
-            data, meta = self._schedule_payload(key, schedule)
-            self._entries[fingerprint] = self._write_entry(
-                fingerprint, key, data, meta
-            )
-            self._dirty = True
+            payload = (key, *self._schedule_payload(key, schedule))
+            self._add_segment(self._write_segment([fingerprint], [payload]))
         return fingerprint
 
     def put_for_config(
@@ -351,26 +377,24 @@ class TraceStore:
     # -- attaching ------------------------------------------------------------
 
     def _mapped(self, entry: dict) -> np.ndarray | None:
-        path = os.path.join(self.directory, entry["file"])
-        offset = entry["offset"]
+        filename = entry["file"]
         try:
-            # The manifest records the data offset at write time, so the
-            # mapping skips the per-file .npy header parse; verify() still
-            # cross-checks the real header against the manifest.  Mapping
+            # One mapping per segment, shared by its live entries.  Mapping
             # through os.open + mmap + frombuffer (rather than np.memmap or
-            # a buffered open()) trims the per-entry overhead, which is
-            # measurable when a fleet attaches tens of thousands of entries.
-            fd = os.open(path, os.O_RDONLY)
-            try:
-                mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
-            finally:
-                os.close(fd)
-            if len(mapping) != offset + entry["bytes"]:
-                raise TraceError(
-                    f"trace store entry {entry['file']} is truncated"
-                )
+            # a buffered open()) trims the per-mapping overhead.
+            mapping = self._maps.get(filename)
+            if mapping is None:
+                fd = os.open(os.path.join(self.directory, filename), os.O_RDONLY)
+                try:
+                    mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+                finally:
+                    os.close(fd)
+                if len(mapping) != self._segments.get(filename):
+                    raise TraceError(f"trace store segment {filename} is truncated")
+                self._maps[filename] = mapping
             data = np.frombuffer(
-                mapping, dtype=np.float64, offset=offset
+                mapping, dtype=np.float64, count=entry["bytes"] // 8,
+                offset=entry["offset"],
             ).reshape(entry["shape"])
         except (OSError, ValueError) as exc:
             # Each live mapping holds one dup'ed fd, so a wide batch can
@@ -378,7 +402,7 @@ class TraceStore:
             if getattr(exc, "errno", None) in (errno.EMFILE, errno.ENFILE):
                 return None
             raise TraceError(
-                f"trace store entry {entry['file']} unreadable: {exc}"
+                f"trace store entry {filename} unreadable: {exc}"
             ) from exc
         return data
 
@@ -468,9 +492,9 @@ class TraceStore:
 
         Deduplicates by config cache key first (devices sharing a trace
         or schedule cost one generation), fans generation over forked
-        workers when ``jobs`` allows (each worker writes its own data
-        files; the parent merges manifest entries and saves once, and
-        only when the manifest has unsaved entries), and
+        workers when ``jobs`` allows (each worker writes whole segments
+        of ``_SEGMENT_ENTRIES``; the parent merges manifest entries and
+        saves once, and only when the manifest has unsaved entries), and
         returns ``{"traces": ..., "schedules": ..., "reused": ...}``
         counts.
         """
@@ -494,90 +518,81 @@ class TraceStore:
             else:
                 items.append((kind, fingerprint, key, config))
 
-        def build_one(item) -> tuple[str, dict]:
-            kind, fingerprint, key, config = item
-            if kind == "solar":
-                data, meta = self._trace_payload(key, config.build_trace())
-            else:
-                data, meta = self._schedule_payload(key, config.build_schedule())
-            return fingerprint, self._write_entry(fingerprint, key, data, meta)
+        def payloads(chunk):
+            for kind, _, key, config in chunk:
+                if kind == "solar":
+                    yield key, *self._trace_payload(key, config.build_trace())
+                else:
+                    yield key, *self._schedule_payload(key, config.build_schedule())
 
-        from repro.experiments.runner import map_indexed, resolve_jobs
+        from repro.experiments.runner import map_indexed
 
-        # Entries are ~1 ms of generator work each; hand each forked
-        # worker a block of them so fan-out overhead amortizes (one task
-        # per entry measurably *lost* time against serial generation).
-        blocks = max(1, min(4 * resolve_jobs(jobs), len(items)))
-        bounds = [
-            (len(items) * i // blocks, len(items) * (i + 1) // blocks)
-            for i in range(blocks)
+        # One segment (and one forked task: ~0.25 s of generator work) per
+        # fixed-size chunk, so the files never depend on ``jobs``.
+        chunks = [
+            items[lo:lo + _SEGMENT_ENTRIES]
+            for lo in range(0, len(items), _SEGMENT_ENTRIES)
         ]
 
-        def build_block(index: int) -> list:
-            lo, hi = bounds[index]
-            return [build_one(items[i]) for i in range(lo, hi)]
+        def build_chunk(index: int) -> tuple:
+            chunk = chunks[index]
+            return self._write_segment([item[1] for item in chunk], payloads(chunk))
 
         done = 0
 
-        def on_result(index: int, outcome) -> None:
+        def on_result(index: int, segment) -> None:
             nonlocal done
-            done += len(outcome)
+            done += len(chunks[index])
             if progress is not None:
                 progress(f"trace store: {done}/{len(items)} entries built")
 
-        block_results = map_indexed(
-            build_block, blocks, jobs, on_result=on_result
-        )
-        traces = schedules = 0
-        for block in block_results:
-            for fingerprint, entry in block:
-                self._entries[fingerprint] = entry
-                if entry["kind"] == "solar":
-                    traces += 1
-                else:
-                    schedules += 1
-        if items:
-            self._dirty = True
+        for segment in map_indexed(build_chunk, len(chunks), jobs, on_result=on_result):
+            self._add_segment(segment)
+        traces = sum(item[0] == "solar" for item in items)
         # The server calls this on every cold submit; rewriting an
         # unchanged (and ever-growing) shared manifest would be wasted I/O.
         if self._dirty:
             self.save()
-        return {"traces": traces, "schedules": schedules, "reused": reused}
+        return {"traces": traces, "schedules": len(items) - traces, "reused": reused}
 
     # -- integrity ------------------------------------------------------------
 
     def verify(self) -> list[str]:
-        """Re-check every entry against the manifest; returns problems."""
+        """Re-check segments and entries against the manifest; returns problems."""
         problems: list[str] = []
+        intact = set()
+        for filename, size in sorted(self._segments.items()):
+            path = os.path.join(self.directory, filename)
+            if not os.path.exists(path):
+                problems.append(f"{filename}: data file missing")
+            elif os.path.getsize(path) != size:
+                problems.append(
+                    f"{filename}: size does not match the manifest's "
+                    f"{size} bytes (attach would refuse it)"
+                )
+            else:
+                intact.add(filename)
         for fingerprint, entry in sorted(self._entries.items()):
+            where = f"{entry['file']}@{entry['offset']}"
             expected = fingerprint_key(entry["key"])
             if expected != fingerprint:
                 problems.append(
-                    f"{entry['file']}: manifest fingerprint {fingerprint[:12]} "
+                    f"{where}: manifest fingerprint {fingerprint[:12]} "
                     f"does not match its key ({expected[:12]})"
                 )
-            path = os.path.join(self.directory, entry["file"])
-            if not os.path.exists(path):
-                problems.append(f"{entry['file']}: data file missing")
+            if entry["file"] not in self._segments:
+                problems.append(f"{where}: segment size not in the manifest")
+            if entry["file"] not in intact:
                 continue
-            try:
-                data = np.load(path, mmap_mode="r", allow_pickle=False)
-            except (OSError, ValueError) as exc:
-                problems.append(f"{entry['file']}: unreadable ({exc})")
-                continue
-            if list(data.shape) != entry["shape"] or data.dtype != np.float64:
+            if int(np.prod(entry["shape"])) * 8 != entry["bytes"]:
                 problems.append(
-                    f"{entry['file']}: shape/dtype {data.shape}/{data.dtype} "
-                    f"!= manifest {entry['shape']}/float64"
+                    f"{where}: shape {entry['shape']} does not fill "
+                    f"{entry['bytes']} float64 bytes"
                 )
                 continue
-            if os.path.getsize(path) != entry["offset"] + entry["bytes"]:
-                problems.append(
-                    f"{entry['file']}: size does not match manifest "
-                    "offset + bytes (attach would mis-map)"
-                )
-                continue
-            digest = hashlib.sha256(np.ascontiguousarray(data).tobytes())
+            with open(os.path.join(self.directory, entry["file"]), "rb") as handle:
+                handle.seek(entry["offset"])
+                digest = hashlib.sha256(handle.read(entry["bytes"]))
             if digest.hexdigest() != entry["sha256"]:
-                problems.append(f"{entry['file']}: payload sha256 mismatch")
+                problems.append(f"{where}: payload sha256 mismatch")
         return problems

@@ -177,6 +177,21 @@ class TestProtocolOverTheWire:
         assert response["ok"] is False
         assert "bogus_field" in response["error"]
 
+    def test_oversized_frame_is_a_clean_error(self, server):
+        import socket
+
+        from repro.serve import protocol
+
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+            sock.sendall(b"x" * (70 * 1024))  # no newline, past the limit
+            stream = sock.makefile("rb")
+            response = protocol.decode_line(stream.readline())
+            assert stream.readline() == b""  # then the server hangs up
+        assert response["ok"] is False
+        assert "64 KiB" in response["error"]
+        with FleetClient(port=server.port) as client:
+            assert client.ping()["ok"] is True
+
     def test_unknown_result_errors(self, server):
         with FleetClient(port=server.port) as client:
             response = client.result("a" * 64, wait=False)

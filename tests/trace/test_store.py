@@ -10,11 +10,14 @@ page-cache copy instead of duplicating the library per process.
 
 import errno
 import gc
+import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 import weakref
 
 import numpy as np
@@ -27,7 +30,13 @@ from repro.errors import TraceError
 from repro.experiments.configs import apollo_simulation_config
 from repro.fleet.spec import FleetSpec
 from repro.trace.power_trace import PiecewiseConstantTrace
-from repro.trace.store import TraceStore, fingerprint_key, solar_store_key
+from repro.trace.store import (
+    _SEGMENT_ENTRIES,
+    _VERSION,
+    TraceStore,
+    fingerprint_key,
+    solar_store_key,
+)
 from repro.trace.solar import SolarTraceConfig, SolarTraceGenerator
 
 
@@ -40,11 +49,35 @@ def small_config(trace_seed=7, schedule_seed=70, cells=6, n_events=4):
     )
 
 
+def assert_attaches_identically(store, config):
+    built, attached = config.build_trace(), store.trace_for(config)
+    assert np.array_equal(attached._times, built._times)
+    assert np.array_equal(attached._powers, built._powers)
+    assert np.array_equal(attached._cum_energy, built._cum_energy)
+    assert attached.period == built.period
+    assert attached._energy_per_period == built._energy_per_period
+    for got, want in zip(store.schedule_for(config).arrays(),
+                         config.build_schedule().arrays()):
+        assert np.array_equal(got, want)
+
+
 def populated(tmp_path, config):
     store = TraceStore.create(tmp_path / "store")
     store.put_for_config(config)
     store.save()
     return store
+
+
+def shared_segment(tmp_path):
+    """A built store and the fingerprints of its one multi-entry segment."""
+    spec = FleetSpec(devices=6, seed=5, n_events=4)
+    store = TraceStore.create(tmp_path / "store")
+    store.build_for_spec(spec)
+    (segment,) = store._segments
+    fingerprints = [fp for fp, entry in store._entries.items()
+                    if entry["file"] == segment]
+    assert len(fingerprints) == len(store) > 1
+    return spec, store, segment, fingerprints
 
 
 class TestRoundTrip:
@@ -132,16 +165,18 @@ class TestIntegrity:
         assert store.verify() == []
 
     def test_verify_catches_flipped_byte(self, tmp_path):
-        store = populated(tmp_path, small_config())
-        entry = next(iter(store._entries.values()))
-        path = os.path.join(store.directory, entry["file"])
+        _, store, segment, fingerprints = shared_segment(tmp_path)
+        entry = max((store._entries[fp] for fp in fingerprints),
+                    key=lambda entry: entry["offset"])
+        path = os.path.join(store.directory, segment)
         with open(path, "r+b") as handle:
             handle.seek(entry["offset"] + 8)
             byte = handle.read(1)
             handle.seek(entry["offset"] + 8)
             handle.write(bytes([byte[0] ^ 0xFF]))
         problems = store.verify()
-        assert problems and "sha256 mismatch" in problems[0]
+        # Only the flipped entry is flagged, not its segment neighbours.
+        assert problems == [f"{segment}@{entry['offset']}: payload sha256 mismatch"]
 
     def test_verify_catches_missing_file(self, tmp_path):
         store = populated(tmp_path, small_config())
@@ -151,16 +186,18 @@ class TestIntegrity:
         assert any("missing" in problem for problem in problems)
 
     def test_attach_rejects_truncated_file(self, tmp_path):
-        config = small_config()
-        store = populated(tmp_path, config)
-        key = config.trace_store_key()
-        entry = store._entries[fingerprint_key(key)]
-        path = os.path.join(store.directory, entry["file"])
+        spec, store, segment, _ = shared_segment(tmp_path)
+        path = os.path.join(store.directory, segment)
         with open(path, "r+b") as handle:
-            handle.truncate(entry["offset"] + entry["bytes"] - 16)
+            handle.truncate(store._segments[segment] - 16)
+        # The whole segment is refused, including entries whose bytes
+        # survived the cut.
+        _, config = spec.device_config(0)
         with pytest.raises(TraceError, match="truncated"):
-            store.get_trace(key)
-        assert store.verify()  # size check or load failure flags it
+            store.trace_for(config)
+        with pytest.raises(TraceError, match="truncated"):
+            store.schedule_for(config)
+        assert any("size does not match" in p for p in store.verify())
 
     def test_open_requires_manifest(self, tmp_path):
         with pytest.raises(TraceError, match="no trace store"):
@@ -225,11 +262,14 @@ class TestBuildForSpec:
             assert handle.read() == data
 
     def test_forked_build_is_byte_identical(self, tmp_path):
+        # Two segments, so jobs=2 really forks one writer per segment.
+        spec = TestSegments.SPEC
         serial = TraceStore.create(tmp_path / "serial")
         forked = TraceStore.create(tmp_path / "forked")
-        assert serial.build_for_spec(self.SPEC, jobs=1) == forked.build_for_spec(
-            self.SPEC, jobs=2
+        assert serial.build_for_spec(spec, jobs=1) == forked.build_for_spec(
+            spec, jobs=2
         )
+        assert len(serial._segments) == 2
         assert store_files(serial.directory) == store_files(forked.directory)
         assert forked.verify() == []
 
@@ -241,10 +281,162 @@ class TestBuildForSpec:
         expected = tmp_path / "expected.json"
         with open(expected, "w", encoding="utf-8") as handle:
             json.dump(
-                {"version": 1, "entries": store._entries},
+                {"version": _VERSION, "entries": store._entries,
+                 "segments": store._segments},
                 handle, sort_keys=True, indent=None,
             )
         assert text == expected.read_text(encoding="utf-8")
+
+
+def src_env() -> dict:
+    """The environment for a child interpreter that imports ``repro``."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return env
+
+
+class TestSegments:
+    SPEC = FleetSpec(devices=150, seed=9, n_events=2)
+
+    def test_entries_pack_into_fixed_segments(self, tmp_path):
+        store = TraceStore.create(tmp_path / "store")
+        store.build_for_spec(self.SPEC)
+        assert sorted(os.listdir(store.directory)) == sorted(
+            ["manifest.json", *store._segments]
+        )
+        per_segment = {}
+        for entry in store._entries.values():
+            per_segment[entry["file"]] = per_segment.get(entry["file"], 0) + 1
+            assert entry["offset"] % 64 == 0
+        assert len(store) > _SEGMENT_ENTRIES
+        assert sorted(per_segment.values()) == [
+            len(store) - _SEGMENT_ENTRIES, _SEGMENT_ENTRIES
+        ]
+        for name, size in store._segments.items():
+            assert os.path.getsize(os.path.join(store.directory, name)) == size
+
+    def test_one_fd_per_live_segment(self, tmp_path):
+        store = TraceStore.create(tmp_path / "store")
+        store.build_for_spec(self.SPEC)
+        configs = [self.SPEC.device_config(i)[1] for i in range(self.SPEC.devices)]
+        gc.collect()
+        before = open_fds()
+        held = [store.trace_for(c) for c in configs]
+        held += [store.schedule_for(c) for c in configs]
+        assert None not in held
+        if before is not None:
+            assert open_fds() - before == len(store._segments) == 2
+        del held
+        gc.collect()
+        assert open_fds() == before
+
+
+def write_v1_store(directory, configs) -> None:
+    """A store as written before segments: one ``.npy`` file per entry,
+    its payload offset recorded in a version-1 manifest."""
+    os.makedirs(directory)
+    entries = {}
+    for config in configs:
+        trace_key, schedule_key = config.trace_store_key(), config.schedule_store_key()
+        for key, (data, meta) in (
+            (trace_key, TraceStore._trace_payload(trace_key, config.build_trace())),
+            (schedule_key,
+             TraceStore._schedule_payload(schedule_key, config.build_schedule())),
+        ):
+            fingerprint = fingerprint_key(key)
+            filename = f"{key['kind']}-{fingerprint[:20]}.npy"
+            with open(os.path.join(directory, filename), "wb") as handle:
+                np.lib.format.write_array(handle, data, allow_pickle=False)
+                offset = handle.tell() - data.nbytes
+            entries[fingerprint] = {
+                "kind": key["kind"], "key": key, "file": filename,
+                "shape": list(data.shape), "offset": offset,
+                "bytes": data.nbytes, "sha256": hashlib.sha256(data).hexdigest(),
+                "meta": meta,
+            }
+    with open(os.path.join(directory, "manifest.json"), "w") as handle:
+        json.dump({"version": 1, "entries": entries}, handle, sort_keys=True)
+
+
+class TestManifestV1:
+    SPEC = FleetSpec(devices=6, seed=5, n_events=4)
+
+    def test_v1_store_attaches_and_verifies(self, tmp_path):
+        configs = [self.SPEC.device_config(i)[1] for i in range(3)]
+        write_v1_store(tmp_path / "v1", configs)
+        store = TraceStore.open(tmp_path / "v1")
+        assert len(store) == 6
+        assert store.verify() == []
+        for config in configs:
+            assert_attaches_identically(store, config)
+
+    def test_build_appends_segments_and_saves_v2(self, tmp_path):
+        directory = tmp_path / "v1"
+        old = [self.SPEC.device_config(i)[1] for i in range(2)]
+        write_v1_store(directory, old)
+        npy = sorted(name for name in os.listdir(directory) if name.endswith(".npy"))
+        counts = TraceStore.open(directory).build_for_spec(self.SPEC)
+        assert counts["reused"] == len(npy) == 4
+        with open(os.path.join(directory, "manifest.json")) as handle:
+            manifest = json.load(handle)
+        assert manifest["version"] == _VERSION
+        assert [name for name in manifest["segments"] if name.endswith(".npy")] == npy
+        reopened = TraceStore.open(directory)
+        assert reopened.verify() == []
+        for index in range(self.SPEC.devices):
+            assert_attaches_identically(reopened, self.SPEC.device_config(index)[1])
+
+
+class TestKilledBuild:
+    SPEC = FleetSpec(devices=600, seed=13, n_events=2, policies=("NA", "AD", "TH50"))
+
+    def test_sigkill_mid_build_leaves_a_usable_store(self, tmp_path):
+        from repro.fleet import run_fleet
+
+        directory = str(tmp_path / "store")
+        script = textwrap.dedent("""
+            import sys
+            from repro.fleet.spec import FleetSpec
+            from repro.trace.store import TraceStore
+
+            spec = FleetSpec(devices=600, seed=13, n_events=2,
+                             policies=("NA", "AD", "TH50"))
+            TraceStore.create(sys.argv[1]).build_for_spec(spec)
+        """)
+        child = subprocess.Popen([sys.executable, "-c", script, directory],
+                                 env=src_env())
+        deadline = time.monotonic() + 120
+        try:
+            while not any(name.startswith("seg-") for name in
+                          (os.listdir(directory) if os.path.isdir(directory) else ())):
+                assert child.poll() is None, "build ended before any segment"
+                assert time.monotonic() < deadline, "no segment appeared"
+                time.sleep(0.001)
+        finally:
+            child.send_signal(signal.SIGKILL)
+            child.wait()
+        assert child.returncode == -signal.SIGKILL
+        leftovers = set(os.listdir(directory)) - {"manifest.json"}
+        assert leftovers
+
+        store = TraceStore.create(directory)
+        assert len(store) == 0 and store.verify() == []
+        counts = store.build_for_spec(self.SPEC)
+        assert counts["reused"] == 0
+        assert counts["traces"] + counts["schedules"] == len(store)
+        assert store.verify() == []
+        stale = {name for name in leftovers if ".tmp." in name}
+        assert not stale & set(store._segments)
+        assert not any(".tmp." in entry["file"] for entry in store._entries.values())
+
+        def rollup(**kwargs):
+            result = run_fleet(self.SPEC, **kwargs)
+            return json.dumps(result.rollup.to_dict(), sort_keys=True)
+
+        assert rollup(trace_store=TraceStore.open(directory)) == rollup()
 
 
 class TestSharedMapping:
@@ -370,8 +562,10 @@ class TestAttachmentLifetime:
 
     def test_vector_fleet_survives_a_low_fd_limit(self, tmp_path):
         pytest.importorskip("resource")
+        if open_fds() is None:
+            pytest.skip("needs /proc/self/fd to count open fds")
         script = textwrap.dedent("""
-            import json, resource, sys
+            import gc, json, os, resource, sys
             from repro.fleet import FleetSpec, run_fleet
             from repro.trace.store import TraceStore
 
@@ -395,28 +589,38 @@ class TestAttachmentLifetime:
 
             plain = rollup()
             soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
-            resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))
-            try:
-                backed = rollup(trace_store=store)
-            finally:
-                resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
-            print(json.dumps({"same": backed == plain, "entries": len(store),
-                              "misses": sum(misses)}))
+
+            def limited(limit):
+                misses.clear()
+                resource.setrlimit(resource.RLIMIT_NOFILE, (limit, hard))
+                try:
+                    backed = rollup(trace_store=store)
+                finally:
+                    resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+                return {"same": backed == plain, "misses": sum(misses)}
+
+            roomy = limited(64)
+            gc.collect()
+            # The listing's own directory fd is closed again before the run.
+            tight = limited(len(os.listdir("/proc/self/fd")) - 1)
+            print(json.dumps({"entries": len(store),
+                              "segments": len(store._segments),
+                              "roomy": roomy, "tight": tight}))
         """)
-        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p]
-        )
         done = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path / "store")],
-            capture_output=True, text=True, env=env, timeout=300,
+            capture_output=True, text=True, env=src_env(), timeout=300,
         )
         assert done.returncode == 0, done.stderr
         report = json.loads(done.stdout.strip().splitlines()[-1])
-        assert report["entries"] == 128  # more entries than the fd limit
-        assert report["misses"] > 0      # the limit really refused mappings
-        assert report["same"]
+        # More entries than the 64-fd limit, packed in one segment: one fd
+        # maps them all, so nothing is refused.
+        assert report["entries"] == 128 and report["segments"] == 1
+        assert report["roomy"] == {"same": True, "misses": 0}
+        # With no fd to spare the segment mapping itself is refused, and
+        # every device regenerates the same bytes.
+        assert report["tight"]["misses"] > 0
+        assert report["tight"]["same"]
 
 
 class TestCli:
@@ -429,9 +633,16 @@ class TestCli:
             "--devices", "6", "--seed", "3", "--events", "4", "--quiet",
         ]) == 0
         assert main(["store", "ls", store_dir, "--entries"]) == 0
+        listing = capsys.readouterr().out
         assert main(["store", "verify", store_dir]) == 0
         out = capsys.readouterr().out
-        assert "entries" in out and "all digests match" in out
+        assert "entries" in listing and "all digests match" in out
+        # Every listed entry lives in the one segment beside the manifest.
+        (segment,) = set(os.listdir(store_dir)) - {"manifest.json"}
+        assert segment.startswith("seg-") and segment.endswith(".bin")
+        rows = [line for line in listing.splitlines() if line.startswith("  ")]
+        assert rows and all(row.endswith(segment) for row in rows)
+        assert f"verified {len(rows)} entries" in out
 
     def test_verify_reports_corruption(self, tmp_path, capsys):
         from repro.trace.__main__ import main
