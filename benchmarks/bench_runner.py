@@ -17,7 +17,7 @@ from conftest import BENCH_EVENTS, BENCH_SEEDS, run_once
 
 from repro.experiments.configs import apollo_simulation_config
 from repro.experiments.harness import quetzal_factory, run_grid, standard_policies
-from repro.experiments.runner import ExperimentRunner, grid_specs
+from repro.experiments.runner import ExperimentRunner, clear_run_memo, grid_specs
 from repro.policies.noadapt import NoAdaptPolicy
 
 #: Workers used for the parallel leg of the speedup measurement.
@@ -35,10 +35,12 @@ def sweep(jobs: int):
 def test_parallel_speedup(benchmark):
     """jobs=4 must beat jobs=1 by >= 2x wall clock (given >= 4 CPUs)."""
     cores = os.cpu_count() or 1
+    clear_run_memo()
     serial_start = time.perf_counter()
     serial = sweep(jobs=1)
     serial_s = time.perf_counter() - serial_start
 
+    clear_run_memo()  # else the parallel leg is all memo hits
     parallel_start = time.perf_counter()
     parallel = run_once(benchmark, sweep, jobs=SPEEDUP_JOBS)
     parallel_s = time.perf_counter() - parallel_start

@@ -25,22 +25,30 @@ byte:
    and its Prometheus text must parse;
 6. the fleet service: a cache miss, then a cache hit; a mutated spec must
    miss; the watched telemetry runs start/heartbeat/end; the final stats
-   are exactly 3 submissions, 1 hit, 2 misses, 2 entries.
+   are exactly 3 submissions, 1 hit, 2 misses, 2 entries;
+7. figure regeneration (``python -m repro.experiments --events 6
+   --seeds 1``), each leg from an empty run memo: ``--jobs 1`` and
+   ``--jobs 2`` must write byte-identical ``--json``, so memoized repeats
+   read the same whether forked workers or the parent simulated them.
 
 Exits non-zero with a diagnostic on any deviation.  Artifacts are
 written under ``SMOKE_DIR`` (default: a temp dir), which must be empty
 or absent; CI uploads it.
 """
 
+import contextlib
 import dataclasses
 import filecmp
 import gc
+import io
 import json
 import os
 import resource
 import sys
 import tempfile
 
+from repro.experiments.__main__ import main as experiments_main
+from repro.experiments.runner import clear_run_memo
 from repro.fleet.__main__ import main as fleet_main
 from repro.fleet.spec import FleetSpec
 from repro.obs import validate_chrome_trace, validate_jsonl_events
@@ -51,7 +59,8 @@ from repro.trace.__main__ import main as trace_main
 SPEC = FleetSpec(devices=24, seed=3, name="smoke", n_events=5,
                  policies=("NA", "AD", "QZ", "TH50"))
 SHARDS = 2
-CLIS = {"repro.fleet": fleet_main, "repro.trace": trace_main}
+CLIS = {"repro.experiments": experiments_main, "repro.fleet": fleet_main,
+        "repro.trace": trace_main}
 
 
 def fail(message: str) -> None:
@@ -247,6 +256,17 @@ def smoke(out: str) -> None:
     with open(path("serve-stats.json"), "w") as handle:
         json.dump(stats, handle, sort_keys=True, indent=2)
 
+    # 7. Figures, serial and forked, each from an empty run memo.
+    for jobs in ("1", "2"):
+        args = ("--events", "6", "--seeds", "1", "--jobs", jobs,
+                "--json", path(f"figures-jobs{jobs}.json"))
+        print(f"$ python -m repro.experiments {' '.join(args)}  # renders hidden")
+        clear_run_memo()
+        with contextlib.redirect_stdout(io.StringIO()):
+            run("repro.experiments", *args)
+    if read(path("figures-jobs1.json")) != read(path("figures-jobs2.json")):
+        fail("--jobs 2 figure JSON differs from the --jobs 1 regeneration")
+
 
 def main() -> int:
     keep = os.environ.get("SMOKE_DIR")
@@ -262,7 +282,8 @@ def main() -> int:
           "(serial and forked builds byte-identical), "
           "observed, served and cached rollups are byte-identical to the "
           "scalar reference; metrics are run-configuration-invariant; "
-          "every artifact validates; 1 cache hit in 3 submissions")
+          "every artifact validates; 1 cache hit in 3 submissions; "
+          "figure JSON is byte-identical at --jobs 1 and --jobs 2")
     return 0
 
 

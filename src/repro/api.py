@@ -19,7 +19,8 @@ Everything exported here — and exactly this list, pinned by
   ``TraceStore`` of prebuilt traces/schedules
   (``run_fleet(trace_store=...)``);
 * **grids** — ``ExperimentConfig`` / ``run_grid`` /
-  ``standard_policies`` / ``ExperimentRunner`` for policy × seed sweeps;
+  ``standard_policies`` / ``ExperimentRunner`` for policy × seed sweeps,
+  with ``clear_run_memo`` to reset the per-process run memo;
 * **fleets** — ``run_fleet`` over a ``FleetSpec`` for batch populations
   of devices, with ``FleetRecorder`` shard telemetry and an opt-in
   ``kernel="vector"`` lockstep numpy kernel (bit-identical rollups,
@@ -53,7 +54,12 @@ from repro.experiments.configs import (
     msp430_simulation_config,
 )
 from repro.experiments.harness import run_grid, standard_policies
-from repro.experiments.runner import ExperimentRunner, GridResults, RunFailure
+from repro.experiments.runner import (
+    ExperimentRunner,
+    GridResults,
+    RunFailure,
+    clear_run_memo,
+)
 from repro.fleet import FleetResult, FleetRollup, FleetSpec, run_fleet
 from repro.obs import (
     HeartbeatPublisher,
@@ -109,6 +115,7 @@ __all__ = [
     "ExperimentRunner",
     "GridResults",
     "RunFailure",
+    "clear_run_memo",
     # fleets
     "run_fleet",
     "FleetSpec",

@@ -178,6 +178,13 @@ def run_grid(
     :class:`~repro.trace.store.TraceStore` the grid's input cache reads
     through (byte-identical results, setup-time speedup; ignored when an
     explicit ``runner`` is passed — configure the runner instead).
+
+    A run this process already finished is served from a per-process
+    memo instead of being simulated again.  The memo is keyed on the
+    pickled seeded config and the policy's instance state, not on code:
+    after redefining or editing a policy class in the same process, call
+    :func:`~repro.experiments.runner.clear_run_memo` (also in
+    ``repro.api``) to reset it.
     """
     runner = runner or ExperimentRunner(jobs=jobs, trace_store=trace_store)
     specs = grid_specs(config, policies, seeds)

@@ -14,6 +14,10 @@ spec lists
   are built once per distinct :meth:`~repro.experiments.configs.
   ExperimentConfig.trace_key` / ``schedule_key`` and shared by every run
   (they are immutable after construction, so sharing is safe);
+* **without re-simulating runs** — a bounded, process-wide memo keyed by
+  the sha256 of the pickled ``(seeded config, first-attempt policy)``
+  pair serves every repeat of a finished run (the paper's figures share
+  their default Quetzal runs) as an independent copy;
 * **fault-tolerantly** — a run that raises is retried once and, if it
   raises again, recorded as a structured :class:`RunFailure` in the
   result list instead of killing the whole sweep.
@@ -26,9 +30,13 @@ test_runner.py`` checks this).
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
+import pickle
+import threading
 import traceback
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -51,6 +59,7 @@ __all__ = [
     "resolve_jobs",
     "map_indexed",
     "set_default_trace_store",
+    "clear_run_memo",
 ]
 
 #: A factory producing a *fresh* policy instance per run attempt.
@@ -158,6 +167,57 @@ def set_default_trace_store(store) -> None:
     """
     global _default_trace_store
     _default_trace_store = store
+
+
+#: Entries the process-wide run memo keeps (least recently used evicted
+#: first); one default ``--seeds 3`` regeneration has about 267 distinct runs.
+_RUN_MEMO_SIZE = 512
+
+#: Run key -> pickled :class:`RunMetrics` of its first successful attempt.
+_run_memo: OrderedDict[bytes, bytes] = OrderedDict()
+_run_memo_lock = threading.Lock()
+
+
+def clear_run_memo() -> None:
+    """Forget every memoized run, so the next sweep simulates cold."""
+    with _run_memo_lock:
+        _run_memo.clear()
+
+
+def _memo_get(key: bytes | None) -> RunMetrics | None:
+    """An independent copy of the memoized run, refreshing its LRU slot."""
+    with _run_memo_lock:
+        blob = _run_memo.get(key)
+        if blob is not None:
+            _run_memo.move_to_end(key)
+    return None if blob is None else pickle.loads(blob)
+
+
+def _memo_put(key: bytes, metrics: RunMetrics) -> None:
+    """File a copy of ``metrics`` under ``key``, evicting the oldest entry."""
+    blob = pickle.dumps(metrics, protocol=5)
+    with _run_memo_lock:
+        _run_memo[key] = blob
+        if len(_run_memo) > _RUN_MEMO_SIZE:
+            _run_memo.popitem(last=False)
+
+
+def _keyed_policy(
+    config: ExperimentConfig, factory: PolicyFactory
+) -> tuple[Policy | None, bytes | None]:
+    """The first attempt's policy and the sha256 of the pickled run, or Nones.
+
+    A raising factory raises again, and is recorded, in the run's attempts.
+    """
+    try:
+        policy = factory()
+    except Exception:  # noqa: BLE001 - failures become data at run time
+        return None, None
+    try:
+        blob = pickle.dumps((config, policy), protocol=5)
+    except (pickle.PicklingError, TypeError, AttributeError):
+        return policy, None  # an unpicklable run just simulates
+    return policy, hashlib.sha256(blob).digest()
 
 
 def grid_specs(
@@ -338,13 +398,15 @@ class ExperimentRunner:
     # -- input caching -----------------------------------------------------------
 
     @staticmethod
-    def build_caches(specs: Sequence[RunSpec]) -> tuple[dict, dict]:
+    def build_caches(specs: Sequence[RunSpec], store=None) -> tuple[dict, dict]:
         """Build each distinct trace/schedule exactly once.
 
         Replicas of the same config share the trace (seed offsets shift
         only the schedule and classification streams), so a grid of P
         policies x S seeds builds 1 trace and S schedules instead of
-        P x S of each.
+        P x S of each.  With a ``store``, each distinct key is first
+        looked up there (zero-copy mmap attach) and only generated on a
+        miss.
         """
         traces: dict = {}
         schedules: dict = {}
@@ -352,33 +414,11 @@ class ExperimentRunner:
             cfg = spec.seeded_config()
             t_key = cfg.trace_key()
             if t_key not in traces:
-                traces[t_key] = cfg.build_trace()
-            s_key = cfg.schedule_key()
-            if s_key not in schedules:
-                schedules[s_key] = cfg.build_schedule()
-        return traces, schedules
-
-    def _build_caches(self, specs: Sequence[RunSpec]) -> tuple[dict, dict]:
-        """The per-grid input cache, reading through ``self.trace_store``.
-
-        Identical to :meth:`build_caches` when no store is attached; with
-        one, each distinct key is first looked up in the store (zero-copy
-        mmap attach) and only generated on a miss.
-        """
-        store = self.trace_store
-        if store is None:
-            return self.build_caches(specs)
-        traces: dict = {}
-        schedules: dict = {}
-        for spec in specs:
-            cfg = spec.seeded_config()
-            t_key = cfg.trace_key()
-            if t_key not in traces:
-                attached = store.trace_for(cfg)
+                attached = store.trace_for(cfg) if store is not None else None
                 traces[t_key] = attached if attached is not None else cfg.build_trace()
             s_key = cfg.schedule_key()
             if s_key not in schedules:
-                attached = store.schedule_for(cfg)
+                attached = store.schedule_for(cfg) if store is not None else None
                 schedules[s_key] = (
                     attached if attached is not None else cfg.build_schedule()
                 )
@@ -393,8 +433,11 @@ class ExperimentRunner:
     ) -> list[RunMetrics | RunFailure]:
         """Run every spec; results are returned in spec order.
 
-        Raises :class:`ConfigurationError` if a spec names a policy absent
-        from ``factories`` (a wiring bug, not a run failure).
+        A run this process already finished is served from the run memo
+        as an independent copy; only the misses build inputs and simulate
+        (a spec repeated within one list simulates each time).  Raises
+        :class:`ConfigurationError` if a spec names a policy absent from
+        ``factories`` (a wiring bug, not a run failure).
         """
         specs = list(specs)
         for spec in specs:
@@ -402,21 +445,43 @@ class ExperimentRunner:
                 raise ConfigurationError(
                     f"spec names unknown policy {spec.policy!r}"
                 )
-        traces, schedules = self._build_caches(specs)
-        retries = self.retries
+        keyed = [
+            _keyed_policy(spec.seeded_config(), factories[spec.policy])
+            for spec in specs
+        ]
+        results = [_memo_get(key) for _, key in keyed]
+        misses = [index for index, hit in enumerate(results) if hit is None]
+        traces, schedules = self.build_caches(
+            [specs[index] for index in misses], self.trace_store
+        )
 
-        def run_one(index: int) -> RunMetrics | RunFailure:
-            spec = specs[index]
+        def run_one(slot: int) -> tuple:
+            spec, first = specs[misses[slot]], keyed[misses[slot]][0]
+            attempts = []
+
+            def build() -> Policy:  # the keyed instance runs the first attempt
+                attempts.append(spec)
+                if len(attempts) == 1 and first is not None:
+                    return first
+                return factories[spec.policy]()
+
             seeded = spec.seeded_config()
-            return _attempt_spec(
+            outcome = _attempt_spec(
                 spec,
-                factories[spec.policy],
+                build,
                 traces[seeded.trace_key()],
                 schedules[seeded.schedule_key()],
-                retries,
+                self.retries,
             )
+            return outcome, len(attempts) == 1
 
-        return map_indexed(run_one, len(specs), self.jobs)
+        outcomes = map_indexed(run_one, len(misses), self.jobs)
+        for index, (outcome, first_try) in zip(misses, outcomes):
+            results[index] = outcome
+            key = keyed[index][1]
+            if first_try and key is not None and isinstance(outcome, RunMetrics):
+                _memo_put(key, outcome)
+        return results
 
     def map_shards(
         self,

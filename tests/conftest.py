@@ -7,8 +7,15 @@ import pytest
 from repro.device.checkpoint import CheckpointModel
 from repro.device.storage import Supercapacitor
 from repro.env.events import Event, EventSchedule
+from repro.experiments.runner import clear_run_memo
 from repro.trace.synthetic import constant_trace
 from repro.workload.pipelines import build_apollo_app, build_msp430_app
+
+
+@pytest.fixture(autouse=True)
+def cold_run_memo():
+    """Start every test with an empty run memo: no test reuses another's runs."""
+    clear_run_memo()
 
 
 @pytest.fixture

@@ -5,9 +5,14 @@ produces well-formed rows; the headline *shape* checks (Quetzal wins) run
 at a moderate scale on the figures where the margin is robust.
 """
 
+import json
+
 import pytest
 
 from repro.experiments import figures
+from repro.experiments.__main__ import RUNNERS
+from repro.experiments.runner import clear_run_memo
+from repro.sim.engine import SimulationEngine
 
 TINY = dict(n_events=8, seeds=(0,))
 
@@ -115,3 +120,39 @@ class TestShape:
         )
         two, ten = result.rows
         assert two["discarded %"] >= ten["discarded %"]
+
+
+class TestRunMemoFigureSet:
+    def test_warm_regeneration_is_byte_identical_without_simulating(
+        self, monkeypatch
+    ):
+        """The whole figure set, cold then warm in reverse order, same bytes.
+
+        Figure 2a drives its telemetry engine directly rather than through
+        the runner, so it is the one figure that simulates again when warm.
+        """
+        runs, current = [], [None]
+        real_run = SimulationEngine.run
+
+        def counted(self, *args, **kwargs):
+            runs.append(current[0])
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimulationEngine, "run", counted)
+
+        def regenerate(names):
+            out = {}
+            for name in names:
+                current[0] = name
+                results = RUNNERS[name](4, (0,), 1)
+                out[name] = json.dumps([r.to_dict() for r in results], sort_keys=True)
+            return out
+
+        clear_run_memo()
+        cold = regenerate(list(RUNNERS))
+        cold_runs = len(runs)
+        runs.clear()
+        warm = regenerate(list(reversed(RUNNERS)))
+        assert warm == cold
+        assert cold_runs > 1
+        assert runs == ["Figure 2a"]

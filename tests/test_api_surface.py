@@ -49,6 +49,7 @@ API_SNAPSHOT = sorted([
     "ExperimentRunner",
     "GridResults",
     "RunFailure",
+    "clear_run_memo",
     # fleets
     "run_fleet",
     "FleetSpec",

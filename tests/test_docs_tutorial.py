@@ -145,12 +145,14 @@ def test_section10_fleet():
 
 
 def test_section8_parallel_grids():
+    from repro.api import clear_run_memo
     from repro.experiments import apollo_simulation_config, run_grid
     from repro.experiments.harness import quetzal_factory
 
     cfg = apollo_simulation_config("crowded", n_events=6)
     grid = {"QZ": quetzal_factory(), "NA": NoAdaptPolicy}
     results = run_grid(cfg, grid, seeds=(0, 1), jobs=2)
+    clear_run_memo()  # else the serial leg is served from the memo
     assert results == run_grid(cfg, grid, seeds=(0, 1), jobs=1)
     assert results.ok and not results.failures
     assert results["QZ"].ibo_fraction_std >= 0.0
