@@ -128,9 +128,9 @@ def run_fleet_scale_case(
 
     * ``vector``: one lockstep :class:`~repro.fleet.kernel._VectorBatch`
       pass over all ``FLEET_DEVICES`` baseline-policy devices, *including*
-      the scalar rerun of any lane the kernel hands back (tail cutoff or
-      anomaly), i.e. exactly the work ``run_shard(kernel="vector")`` does
-      after input setup;
+      the scalar-engine continuation of its migrated straggler lanes and
+      the scalar rerun of any anomalous lane, i.e. exactly the work
+      ``run_shard(kernel="vector")`` does after input setup;
     * ``scalar``: the default per-device engine (fast paths on) over a
       leading subset, normalized per device;
     * ``reference``: the engine's pre-optimization reference paths
@@ -223,7 +223,7 @@ def run_fleet_scale_case(
     for _ in range(repeats):
         stats = kernel.KernelStats(lanes=len(lanes))
         start = time.perf_counter()
-        for lane, metrics in kernel._run_lane_groups(lanes, stats):
+        for lane, metrics in kernel._run_lane_groups(lanes, factories, stats):
             if metrics is None:
                 stats.fallback_lanes += 1
                 t0 = time.perf_counter()
@@ -259,6 +259,7 @@ def run_fleet_scale_case(
         "scalar_devices_timed": scalar_devices,
         "reference_devices_timed": reference_devices,
         "fallback_lanes": best_stats.fallback_lanes,
+        "migrated_lanes": best_stats.migrated_lanes,
         "wall_s": round(best_vector, 4),
         "ms_per_device_vector": round(vector_ms, 3),
         "ms_per_device_scalar": round(scalar_ms, 3),

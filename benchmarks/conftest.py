@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro.experiments.runner import resolve_jobs
+from repro.experiments.runner import clear_run_memo, resolve_jobs
 
 #: Events per run (paper: 1000 for simulations, 100 for the hardware rig).
 BENCH_EVENTS = int(os.environ.get("BENCH_EVENTS", "80"))
@@ -26,6 +26,12 @@ BENCH_SEEDS = tuple(range(int(os.environ.get("BENCH_SEEDS", "2"))))
 
 #: Worker processes per figure grid (0 = one per CPU; jobs-invariant results).
 BENCH_JOBS = resolve_jobs(int(os.environ.get("BENCH_JOBS", "1")))
+
+
+@pytest.fixture(autouse=True)
+def cold_run_memo():
+    """Empty the per-process run memo, so each bench times its own runs."""
+    clear_run_memo()
 
 
 @pytest.fixture

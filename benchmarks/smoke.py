@@ -29,7 +29,11 @@ byte:
 7. figure regeneration (``python -m repro.experiments --events 6
    --seeds 1``), each leg from an empty run memo: ``--jobs 1`` and
    ``--jobs 2`` must write byte-identical ``--json``, so memoized repeats
-   read the same whether forked workers or the parent simulated them.
+   read the same whether forked workers or the parent simulated them;
+8. straggler migration: a second, 200-device all-baseline spec (the
+   24-device spec's batches are too narrow to migrate) must give the
+   same ``--json`` under ``--kernel vector`` as under ``--kernel scalar``,
+   and its ``--kernel-stats`` must report migrated lanes.
 
 Exits non-zero with a diagnostic on any deviation.  Artifacts are
 written under ``SMOKE_DIR`` (default: a temp dir), which must be empty
@@ -59,6 +63,10 @@ from repro.trace.__main__ import main as trace_main
 SPEC = FleetSpec(devices=24, seed=3, name="smoke", n_events=5,
                  policies=("NA", "AD", "QZ", "TH50"))
 SHARDS = 2
+#: Wide enough that the vector kernel migrates its straggler tail.
+MIGRATION_SPEC = FleetSpec(devices=200, seed=3, name="smoke-migration",
+                           n_events=5,
+                           policies=("NA", "AD", "TH50", "CN", "PZO", "PZI"))
 CLIS = {"repro.experiments": experiments_main, "repro.fleet": fleet_main,
         "repro.trace": trace_main}
 
@@ -267,6 +275,21 @@ def smoke(out: str) -> None:
     if read(path("figures-jobs1.json")) != read(path("figures-jobs2.json")):
         fail("--jobs 2 figure JSON differs from the --jobs 1 regeneration")
 
+    # 8. Straggler migration: vector continues lanes on the scalar engine.
+    wide = path("spec-migration.json")
+    with open(wide, "w") as handle:
+        handle.write(MIGRATION_SPEC.to_json())
+    run("repro.fleet", "--spec", wide, "--quiet", "--kernel", "scalar",
+        "--json", path("migration-scalar.json"))
+    run("repro.fleet", "--spec", wide, "--quiet", "--kernel", "vector",
+        "--kernel-stats", "--json", path("migration-vector.json"))
+    migrated = json.loads(read(path("migration-vector.json")))
+    stats = migrated.pop("kernel_stats")
+    if canonical_rollup_json(migrated) != read(path("migration-scalar.json")):
+        fail("--kernel vector rollup of the migration spec differs from scalar")
+    if not stats["migrated_lanes"]:
+        fail(f"the migration spec migrated no lanes: {stats}")
+
 
 def main() -> int:
     keep = os.environ.get("SMOKE_DIR")
@@ -283,7 +306,8 @@ def main() -> int:
           "observed, served and cached rollups are byte-identical to the "
           "scalar reference; metrics are run-configuration-invariant; "
           "every artifact validates; 1 cache hit in 3 submissions; "
-          "figure JSON is byte-identical at --jobs 1 and --jobs 2")
+          "figure JSON is byte-identical at --jobs 1 and --jobs 2; "
+          "migrated vector lanes match the scalar engine")
     return 0
 
 

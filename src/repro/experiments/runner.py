@@ -306,16 +306,16 @@ def map_indexed(
     return results
 
 
-def _execute_spec(
+def _build_engine(
     spec: RunSpec,
     factory: PolicyFactory,
     trace: PowerTrace,
     schedule: EventSchedule,
     tracer=None,
-) -> RunMetrics:
-    """Run one spec once with prebuilt inputs (fresh engine and policy)."""
+) -> SimulationEngine:
+    """A fresh engine and policy for one spec with prebuilt inputs."""
     cfg = spec.seeded_config()
-    engine = SimulationEngine(
+    return SimulationEngine(
         app=cfg.build_app(),
         policy=factory(),
         trace=trace,
@@ -325,7 +325,6 @@ def _execute_spec(
         config=cfg.build_sim_config(),
         tracer=tracer,
     )
-    return engine.run()
 
 
 def _attempt_spec(
@@ -339,7 +338,7 @@ def _attempt_spec(
     """Run one spec, retrying ``retries`` times before recording failure."""
     for attempt in range(retries + 1):
         try:
-            return _execute_spec(spec, factory, trace, schedule, tracer=tracer)
+            return _build_engine(spec, factory, trace, schedule, tracer).run()
         except Exception as exc:  # noqa: BLE001 - failures become data
             if attempt >= retries:
                 return RunFailure(

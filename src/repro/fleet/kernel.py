@@ -15,12 +15,12 @@ pass over the columns regardless of how many lanes are in the state, which
 beats gathers once each state holds a reasonable fraction of lanes — and
 the batch *compacts* (harvests finished columns and shrinks every matrix)
 as lanes die, so full width tracks the live population and the longest-
-lived stragglers no longer drag near-empty rounds.  The old fixed
-``D // 64`` scalar-handoff cutoff is replaced by an *adaptive* one
-(``_should_handoff``): stragglers finish in-kernel unless the measured
-live-width decay shows the tail has both shrunk below 1/64 of the batch
-and stopped completing, in which case the survivors are handed to the
-scalar engine.
+lived stragglers no longer drag near-empty rounds.  Below
+``_MIGRATE_LANES`` live lanes, a near-empty round costs more per lane
+than the scalar engine, so each remaining lane *migrates*: at its next
+CTRL step (the engine's loop head, where no job is in flight) its state
+moves onto a fresh :class:`~repro.sim.engine.SimulationEngine`
+(``SimulationEngine.resume_at``), which finishes the run from there.
 
 The contract is the same one ``tests/sim/test_fast_paths.py`` pins for the
 scalar engine's fast paths: **bit-identical** :class:`RunMetrics`, not
@@ -43,9 +43,9 @@ Devices whose policy has no vector path (the Quetzal variants), whose
 configuration falls outside the vector kernel's envelope, or that hit an
 anomalous condition mid-flight (energy overdraw, negative harvest, the
 iteration backstop) are re-run on the scalar engine via the same
-``_attempt_spec`` helper the scalar shard path uses, so every device's
-outcome — including :class:`RunFailure` — is exactly what the scalar path
-would have produced.  The scalar engine stays the oracle; this kernel is
+``_attempt_spec`` helper the scalar shard path uses (as is a migrated
+lane whose continuation raises), so every device's outcome — including
+:class:`RunFailure` — is exactly what the scalar path would have produced.  The scalar engine stays the oracle; this kernel is
 only ever a faster spelling of it (``tests/fleet/test_kernel.py``).
 """
 
@@ -62,7 +62,7 @@ from repro.core.scheduler import FCFSScheduler
 from repro.device.checkpoint import CheckpointModel
 from repro.device.storage import Supercapacitor
 from repro.env.events import EventSchedule
-from repro.experiments.runner import RunFailure, RunSpec, _attempt_spec
+from repro.experiments.runner import RunFailure, RunSpec, _attempt_spec, _build_engine
 from repro.obs.events import TraceEvent
 from repro.obs.tracer import stamping_sink
 from repro.policies.always_degrade import AlwaysDegradePolicy
@@ -118,29 +118,26 @@ _K_NOADAPT, _K_ALWAYS, _K_BUFFER, _K_POWER = 0, 1, 2, 3
 _CLS_CHUNK = 256
 _CAP_CHUNK = 1024
 
-#: Adaptive straggler handoff (see ``_VectorBatch._should_handoff``): the
-#: live width must have decayed below 1/64 of the batch's initial width,
-#: and the completion rate over the trailing window must have collapsed to
-#: below 1/8 of the whole-run average, before the kernel hands the
-#: remaining stragglers to the scalar engine.  Rate is re-measured every
-#: window, so a batch whose tail is still finishing lanes stays in-kernel.
-_HANDOFF_WINDOW = 512
-_HANDOFF_WIDTH_DIV = 64
-_HANDOFF_RATE_DIV = 8.0
+#: Straggler migration: a batch that started wider than this retires each
+#: lane at its next CTRL step once fewer than this many lanes are live,
+#: and finishes the retired lanes on the scalar engine from their kernel
+#: state (DESIGN.md, "Masked divergence", has the threshold sweep).
+_MIGRATE_LANES = 64
 
 
 @dataclass
 class KernelStats:
     """Per-phase accounting for one or more vector-kernel invocations.
 
-    Wall-clock fields are seconds.  ``fallback_s`` times the scalar rerun
-    loop, which covers both envelope exclusions (``scalar_lanes``) and
-    in-flight anomaly handoffs (``fallback_lanes``).
+    Wall-clock fields are seconds.  ``fallback_s`` times all scalar-engine
+    work: envelope exclusions (``scalar_lanes``), in-flight anomaly reruns
+    (``fallback_lanes``) and straggler continuations (``migrated_lanes``).
     """
 
     lanes: int = 0            #: devices that entered the vector kernel
     scalar_lanes: int = 0     #: devices outside the vector envelope
     fallback_lanes: int = 0   #: vector lanes re-run on the scalar engine
+    migrated_lanes: int = 0   #: vector lanes finished on the scalar engine
     batches: int = 0
     iterations: int = 0
     compactions: int = 0
@@ -185,7 +182,8 @@ class KernelStats:
         lines = [
             "=== Vector kernel per-phase timing ===",
             f"lanes: {self.lanes} vector, {self.scalar_lanes} scalar-only, "
-            f"{self.fallback_lanes} fell back mid-run",
+            f"{self.fallback_lanes} fell back mid-run, "
+            f"{self.migrated_lanes} migrated",
             f"batches: {self.batches}  iterations: {self.iterations}  "
             f"compactions: {self.compactions}",
             f"setup    {self.setup_s:8.3f} s  {pct(self.setup_s)}  "
@@ -458,8 +456,8 @@ _B_FIELDS = ("state", "kind", "adv_cont", "rech_cont", "n_tasks",
 #: bool rows: flags and per-lane constants consumed as masks.
 #: exec_deg doubles as the low-quality-option flag: the planner always
 #: picks the degraded option exactly when the policy degraded the job.
-_M_FIELDS = ("anomaly", "adv_has_stop", "exec_pos", "exec_deg", "exec_int",
-             "radio_hiq0", "radio_hiq1", "ev_cur_int")
+_M_FIELDS = ("anomaly", "migrated", "adv_has_stop", "exec_pos", "exec_deg",
+             "exec_int", "radio_hiq0", "radio_hiq1", "ev_cur_int")
 
 #: 2D per-lane arrays compacted by row selection alongside the matrices.
 #: Trace tables stay lane-major: lane sim-times diverge by hours, so a
@@ -532,10 +530,11 @@ class _VectorBatch:
     exits, captures) stay index-based.  ``run()`` returns one
     ``RunMetrics`` per lane — in the original lane order, across any
     number of compactions — or ``None`` where the lane must be re-run on
-    the scalar engine.
+    the scalar engine.  ``factories`` builds the policies of migrated
+    lanes' engines.
     """
 
-    def __init__(self, lanes: list[_Lane], tracer=None) -> None:
+    def __init__(self, lanes: list[_Lane], factories, tracer=None) -> None:
         # Columns are ordered by policy kind so ``_decide`` can address
         # each family as a contiguous slice of its sorted lane indices
         # (compaction preserves column order, so the invariant holds for
@@ -543,6 +542,7 @@ class _VectorBatch:
         order = sorted(range(len(lanes)), key=lambda i: lanes[i].kind[0])
         lanes = [lanes[i] for i in order]
         self.lanes = lanes
+        self.factories = factories
         D = self.D = len(lanes)
         self.N = N = lanes[0].trace._times.shape[0]
         self.C = C = int(lanes[0].sim.buffer_capacity)
@@ -677,12 +677,17 @@ class _VectorBatch:
         self.cap_chunk = np.zeros((2 * _CAP_CHUNK, D), dtype=f8)
         self.cls_chunk = np.zeros((2 * _CLS_CHUNK, D), dtype=f8)
 
+        # -- straggler migration: retired lanes' orig index + loop-head state
+        self.migrating = False
+        self._resume: list = []
+
         # -- phase accounting (read by the shard runner after run()) --
         self.iterations = 0
         self.compactions = 0
         self.ctrl_s = 0.0
         self.adv_s = 0.0
         self.rech_s = 0.0
+        self.migrate_s = 0.0
 
         # -- opt-in tracing: handlers buffer (t, kind, device, dur, data)
         # rows; ``run()`` flushes them to the sink once per phase.  The
@@ -728,17 +733,50 @@ class _VectorBatch:
         self.compactions += 1
 
     def _harvest(self, idx) -> None:
-        """Materialize finished columns into ``results`` (None = fallback)."""
+        """Materialize finished columns into ``results`` (None = fallback);
+        set migrated columns aside with their loop-head state for ``run()``."""
         results = self.results
         orig = self.orig
         anomaly = self.anomaly
+        migrated = self.migrated
         state = self.state
         for i in idx:
             i = int(i)
-            if anomaly[i] or state[i] != _DONE:
+            if migrated[i]:
+                self._resume.append((int(orig[i]), self._loop_head(i)))
+            elif anomaly[i] or state[i] != _DONE:
                 results[int(orig[i])] = None
             else:
                 results[int(orig[i])] = self._metrics(i)
+
+    def _loop_head(self, i: int) -> tuple:
+        """Column ``i``'s lane and ``SimulationEngine.resume_at`` arguments."""
+        used = self.buf_used[i].nonzero()[0]
+        pending = [
+            (float(self.buf_t[i, s]), bool(self.buf_int[i, s]),
+             TRANSMIT_JOB if self.buf_job[i, s] else DETECT_JOB)
+            for s in used[np.argsort(self.buf_t[i, used])]
+        ]
+        return self.lanes[int(self.trow[i])], (
+            float(self.now[i]), float(self.energy[i]), self._metrics(i),
+            int(self.cap_idx[i]), int(self.cap_pos[i]), int(self.cls_pos[i]),
+            pending,
+        )
+
+    def _continue(self, lane: _Lane, loop_head: tuple) -> RunMetrics | None:
+        """Finish a migrated lane on an engine built as the scalar path does;
+        ``None`` (the caller reruns it from scratch) if that raises."""
+        tracer = self._trace
+        engine = _build_engine(
+            RunSpec(policy=lane.policy_name, seed=0, config=lane.config),
+            self.factories[lane.policy_name], lane.trace, lane.schedule,
+            None if tracer is None else stamping_sink(tracer, lane.device),
+        )
+        engine.resume_at(*loop_head)
+        try:
+            return engine.run()
+        except Exception:  # noqa: BLE001 - the rerun records the failure
+            return None
 
     # ------------------------------------------------------------- helpers --
 
@@ -976,6 +1014,12 @@ class _VectorBatch:
         dense full-width arithmetic.  ``count`` is the number of lanes in
         ``m``, so emptiness checks are integer arithmetic.
         """
+        if self.migrating:
+            # The loop head is the only point with no job in flight, so a
+            # lane's state here is exactly what the scalar engine resumes.
+            self.migrated[m] = True
+            self.state[m] = _DONE
+            return
         lanes = m.nonzero()[0]
         at_end = self.now[lanes] >= self.hard_end_eps[lanes]
         ae = at_end.nonzero()[0]
@@ -1630,31 +1674,6 @@ class _VectorBatch:
             emit(TraceEvent(t, kind, device=device, dur=dur, data=data))
         rows.clear()
 
-    @staticmethod
-    def _should_handoff(initial, live, iters, window_done, window_iters) -> bool:
-        """Adaptive straggler cutoff, from measured live-width decay.
-
-        Hand the surviving lanes to the scalar engine only when both hold:
-
-        * the live width has decayed below ``initial / 64`` — dense
-          full-width passes are amortizing over almost nothing; and
-        * completions over the trailing ``window_iters`` iterations have
-          collapsed below 1/8 of the whole-run average rate — the tail is
-          *stalled*, not finishing, so the remaining in-kernel iteration
-          count is large compared to a scalar rerun.
-
-        Unlike the old fixed ``D // 64`` cutoff this never fires while the
-        tail is still completing lanes at a healthy rate (each window
-        re-measures), and it is pure policy: handed-off lanes are re-run
-        from scratch on the scalar oracle, so the choice can never change
-        a device's metrics (the parity sweep pins this).
-        """
-        if live == 0 or live * _HANDOFF_WIDTH_DIV > initial or iters <= 0:
-            return False
-        average_rate = (initial - live) / iters
-        window_rate = window_done / window_iters
-        return window_rate < average_rate / _HANDOFF_RATE_DIV
-
     def run(self) -> list[RunMetrics | None]:
         # Backstop far above any real run (spans per simulated second are
         # bounded by segment boundaries + captures + a few per job): lanes
@@ -1662,9 +1681,7 @@ class _VectorBatch:
         per_lane = self.hard_end / max(self.CAPP, 1e-9) + self.N
         max_iters = int(50 * float(per_lane.max(initial=0.0))) + 10_000
         iters = 0
-        initial_width = self.D
-        window_mark = _HANDOFF_WINDOW
-        window_live = initial_width
+        migrate_below = _MIGRATE_LANES if self.D > _MIGRATE_LANES else 0
         perf = time.perf_counter
         t_ctrl = t_adv = t_rech = 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -1675,16 +1692,8 @@ class _VectorBatch:
                 dead = int(counts[_DONE])
                 if dead == width:
                     break
-                if iters >= window_mark:
-                    live = width - dead
-                    if self._should_handoff(
-                        initial_width, live, iters,
-                        window_live - live, _HANDOFF_WINDOW,
-                    ):
-                        self._anomalize((state != _DONE).nonzero()[0])
-                        break
-                    window_mark = iters + _HANDOFF_WINDOW
-                    window_live = live
+                if width - dead < migrate_below:
+                    self.migrating = True
                 if dead >= _COMPACT_MIN and dead * 8 >= width:
                     self._compact(state != _DONE)
                     state = self.state
@@ -1735,6 +1744,12 @@ class _VectorBatch:
         self.ctrl_s = t_ctrl
         self.adv_s = t_adv
         self.rech_s = t_rech
+        # The continuations need none of the batch's trace or draw tables.
+        self.powers = self.cum = self.cap_chunk = self.cls_chunk = None
+        t0 = perf()
+        for index, (lane, loop_head) in self._resume:
+            self.results[index] = self._continue(lane, loop_head)
+        self.migrate_s = perf() - t0
         return self.results
 
     def _metrics(self, i: int) -> RunMetrics:
@@ -1832,12 +1847,13 @@ def _build_lanes(spec, chunk, kinds, store=None):
     return vector_lanes, scalar_lanes, attach_s
 
 
-def _run_lane_groups(vector_lanes, stats: KernelStats | None = None,
+def _run_lane_groups(vector_lanes, factories, stats: KernelStats | None = None,
                      tracer=None):
     """Run vector lanes through batches; returns [(lane, metrics-or-None)].
 
     Lanes are grouped by array geometry (trace samples, buffer width) and
-    capture period, which the batch hoists to scalars.
+    capture period, which the batch hoists to scalars.  ``factories`` maps
+    policy names to the factories migrated lanes' engines are built with.
     """
     groups: dict[tuple, list[_Lane]] = {}
     for lane in vector_lanes:
@@ -1856,7 +1872,7 @@ def _run_lane_groups(vector_lanes, stats: KernelStats | None = None,
         gc.disable()
         try:
             t0 = perf()
-            batch = _VectorBatch(group, tracer=tracer)
+            batch = _VectorBatch(group, factories, tracer=tracer)
             t1 = perf()
             results = batch.run()
         finally:
@@ -1870,6 +1886,8 @@ def _run_lane_groups(vector_lanes, stats: KernelStats | None = None,
             stats.ctrl_s += batch.ctrl_s
             stats.adv_s += batch.adv_s
             stats.rech_s += batch.rech_s
+            stats.migrated_lanes += len(batch._resume)
+            stats.fallback_s += batch.migrate_s
         out.extend(zip(group, results))
     return out
 
@@ -1916,7 +1934,7 @@ def vector_shard_outcomes(
             for lane in vector_lanes + scalar_lanes:
                 names[lane.device] = lane.policy_name
         rerun = list(scalar_lanes)
-        for lane, metrics in _run_lane_groups(vector_lanes, stats, tracer):
+        for lane, metrics in _run_lane_groups(vector_lanes, factories, stats, tracer):
             if metrics is None:
                 rerun.append(lane)
                 if stats is not None:

@@ -478,8 +478,8 @@ def kernel_stats_registry(stats) -> MetricsRegistry:
     """
     registry = MetricsRegistry()
     for name in (
-        "lanes", "scalar_lanes", "fallback_lanes", "batches",
-        "iterations", "compactions",
+        "lanes", "scalar_lanes", "fallback_lanes", "migrated_lanes",
+        "batches", "iterations", "compactions",
     ):
         registry.counter(
             f"repro_kernel_{name}_total", f"Vector-kernel count: {name}"

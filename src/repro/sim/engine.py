@@ -44,6 +44,9 @@ __all__ = ["SimulationConfig", "SimulationEngine", "simulate"]
 
 _ENERGY_EPS = 1e-12
 
+#: Differencing-filter draws fetched per refill of the capture stream.
+_CAP_CHUNK = 1024
+
 # Frozen-dataclass bypass for the two context objects built once per policy
 # invocation: identical fields, no generated-__init__ object.__setattr__
 # round-trips (see repro.policies.base._make_decision for the same idiom).
@@ -331,6 +334,34 @@ class SimulationEngine:
         self._finalize()
         return self.metrics
 
+    def resume_at(
+        self, now: float, energy_j: float, metrics: RunMetrics,
+        capture_index: int, capture_draws: int, classify_draws: int, pending,
+    ) -> None:
+        """Place this unrun engine at a ``run()`` loop head reached elsewhere.
+
+        No job is in flight there; ``pending`` holds ``(capture_time,
+        interesting, job_name)`` rows in capture order (``enqueue_time``,
+        which nothing reads, becomes the capture time).  The span and
+        cursor caches start cold and re-derive the same values, so
+        ``run()`` continues bit-identically.
+        """
+        self.now = now
+        self.storage.set_energy(energy_j)
+        vars(self.metrics).update(vars(metrics))
+        self.metrics.option_use = {t: dict(c) for t, c in metrics.option_use.items()}
+        self._capture_index = capture_index
+        # Generator.random(n) consumes exactly n scalar draws.
+        chunks, self._rng_pos = divmod(capture_draws, _CAP_CHUNK)
+        self._capture_rng.random(chunks * _CAP_CHUNK)
+        if self._rng_pos:
+            self._rng_chunk = self._capture_rng.random(_CAP_CHUNK).tolist()
+        self.rng.random(classify_draws)
+        for capture_time, interesting, job_name in pending:
+            self.buffer.try_insert(
+                BufferedInput(capture_time, interesting, job_name, capture_time)
+            )
+
     # ---------------------------------------------------------- time advance --
 
     def _next_capture_time(self) -> float:
@@ -421,7 +452,7 @@ class SimulationEngine:
             else:
                 ev = None
             if pos == len(chunk):
-                chunk = self._rng_chunk = self._capture_rng.random(1024).tolist()
+                chunk = self._rng_chunk = self._capture_rng.random(_CAP_CHUNK).tolist()
                 pos = 0
             diff_draw = chunk[pos]
             pos += 1
@@ -698,7 +729,7 @@ class SimulationEngine:
                             ev = None
                         if pos == len(chunk):
                             chunk = self._rng_chunk = (
-                                self._capture_rng.random(1024).tolist()
+                                self._capture_rng.random(_CAP_CHUNK).tolist()
                             )
                             pos = 0
                         diff_draw = chunk[pos]
@@ -1018,7 +1049,7 @@ class SimulationEngine:
         pos = self._rng_pos
         chunk = self._rng_chunk
         if pos == len(chunk):
-            chunk = self._rng_chunk = self._capture_rng.random(1024).tolist()
+            chunk = self._rng_chunk = self._capture_rng.random(_CAP_CHUNK).tolist()
             pos = 0
         diff_draw = chunk[pos]
         self._rng_pos = pos + 1

@@ -225,53 +225,3 @@ class TestTraceStoreBacked:
         assert stats.attach_s > 0.0
         assert stats.attach_s <= stats.lane_build_s
         assert "store attach" in stats.render()
-
-
-class TestAdaptiveHandoff:
-    """The straggler cutoff fires only on a genuinely collapsed tail."""
-
-    def _handoff(self, **kwargs):
-        from repro.fleet.kernel import _VectorBatch
-
-        return _VectorBatch._should_handoff(**kwargs)
-
-    def test_fires_on_narrow_slow_tail(self):
-        # 8192 lanes down to 64 over 10k iterations (avg ~0.8 done/iter),
-        # and the last window retired almost nobody.
-        assert self._handoff(
-            initial=8192, live=64, iters=10_000, window_done=1,
-            window_iters=512,
-        )
-
-    def test_holds_while_wide(self):
-        # Plenty of lanes still live: never hand off, however slow the
-        # window looks.
-        assert not self._handoff(
-            initial=8192, live=1024, iters=10_000, window_done=0,
-            window_iters=512,
-        )
-
-    def test_holds_while_window_is_productive(self):
-        # Narrow but still retiring lanes at a healthy fraction of the
-        # average rate.
-        assert not self._handoff(
-            initial=8192, live=64, iters=10_000, window_done=300,
-            window_iters=512,
-        )
-
-    def test_holds_at_zero_live_or_iters(self):
-        assert not self._handoff(
-            initial=8192, live=0, iters=10_000, window_done=0,
-            window_iters=512,
-        )
-        assert not self._handoff(
-            initial=8192, live=64, iters=0, window_done=0, window_iters=512,
-        )
-
-    def test_boundary_width_is_inclusive(self):
-        # live * 64 == initial sits exactly on the threshold and is
-        # eligible (the guard is live * 64 > initial).
-        assert self._handoff(
-            initial=4096, live=64, iters=10_000, window_done=0,
-            window_iters=512,
-        )

@@ -8,6 +8,9 @@ other policy/trace/MCU mix.  The sweep here draws small random
 failures replay) and asserts per-device ``RunMetrics`` equality against
 the scalar oracle for every one.
 
+Straggler migration gets its own sweep: with ``_MIGRATE_LANES`` lowered
+so that small batches migrate, every device must still match the oracle.
+
 Also covered: ``kernel="auto"`` resolution, and the per-phase
 :class:`KernelStats` telemetry (recorder exposure, rollup invariance).
 """
@@ -19,13 +22,15 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.harness import standard_policies
-from repro.fleet import FleetSpec, run_fleet
+from repro.fleet import FleetSpec, kernel, run_fleet
 from repro.fleet.kernel import (
     VECTOR_KERNEL_POLICIES,
     KernelStats,
     vector_shard_outcomes,
 )
 from repro.fleet.service import resolve_kernel, run_shard
+from repro.obs import RingBufferTracer
+from repro.sim.engine import SimulationEngine
 
 from tests.fleet.test_kernel import scalar_outcome
 
@@ -87,6 +92,136 @@ class TestRandomizedParity:
         assert seen - covered
 
 
+def assert_matches_oracle(spec, outcomes):
+    for device in range(spec.devices):
+        expected = scalar_outcome(spec, device)
+        assert dataclasses.asdict(outcomes[device]) == dataclasses.asdict(
+            expected
+        ), f"spec {spec.name} (seed {spec.seed}) device {device} diverged"
+
+
+def migrating_run(spec, **kwargs):
+    """``vector_shard_outcomes`` over the whole spec, with its stats."""
+    stats = KernelStats()
+    outcomes = vector_shard_outcomes(
+        spec, range(spec.devices), retries=0, stats=stats, **kwargs
+    )
+    return outcomes, stats
+
+
+#: The vector-covered baseline families, for the migration sweep.
+BASELINE_POOL = ("NA", "AD", "CN", "PZO", "PZI", "TH25", "TH50", "TH75")
+MIGRATION_SPECS = 12
+
+
+def draw_migration_spec(rng: random.Random, index: int) -> tuple[FleetSpec, int]:
+    """A 16-40-device all-baseline spec and a ``_MIGRATE_LANES`` of 2-8."""
+    spec = FleetSpec(
+        name=f"migration-sweep-{index}",
+        devices=rng.randint(16, 40),
+        seed=rng.randint(0, 10_000),
+        n_events=rng.randint(3, 10),
+        policies=tuple(rng.sample(BASELINE_POOL, rng.randint(2, 8))),
+        environments=tuple(rng.sample(ENVIRONMENT_POOL, rng.randint(1, 3))),
+        mcus=tuple(rng.sample(MCU_POOL, rng.randint(1, 2))),
+        cells=tuple(rng.sample(CELL_POOL, rng.randint(1, 4))),
+        buffer_capacity=(4, 10)[index % 2],
+    )
+    return spec, rng.randint(2, 8)
+
+
+class TestStragglerMigration:
+    @pytest.mark.parametrize("index", range(MIGRATION_SPECS))
+    def test_migrated_lanes_match_scalar_oracle(self, index, monkeypatch):
+        spec, threshold = draw_migration_spec(random.Random(0x316 + index), index)
+        monkeypatch.setattr(kernel, "_MIGRATE_LANES", threshold)
+        outcomes, stats = migrating_run(spec)
+        assert stats.migrated_lanes > 0
+        assert stats.fallback_lanes == 0
+        assert_matches_oracle(spec, outcomes)
+
+    def test_sweep_covers_msp430_buffers_and_every_family(self):
+        policies, mcus, buffers = set(), set(), set()
+        for index in range(MIGRATION_SPECS):
+            spec, _ = draw_migration_spec(random.Random(0x316 + index), index)
+            buffers.add(spec.buffer_capacity)
+            for device in range(spec.devices):
+                policy, config = spec.device_config(device)
+                policies.add(policy)
+                mcus.add(config.mcu.name)
+        assert policies == set(BASELINE_POOL)
+        assert buffers == {4, 10}
+        assert any("msp430" in name.lower() for name in mcus), mcus
+
+    def test_migration_after_many_draws_on_both_streams(self, monkeypatch):
+        # A long schedule: the survivor has consumed more than one capture
+        # chunk (1024 draws) and one classification chunk (256) in-kernel.
+        spec = FleetSpec(name="long-draws", devices=4, seed=2, n_events=30,
+                         policies=("NA",), cells=(8,))
+        monkeypatch.setattr(kernel, "_MIGRATE_LANES", 2)
+        draws = []
+        resume_at = SimulationEngine.resume_at
+
+        def spy(engine, *args):
+            draws.append(args[4:6])
+            resume_at(engine, *args)
+
+        monkeypatch.setattr(SimulationEngine, "resume_at", spy)
+        outcomes, stats = migrating_run(spec)
+        assert stats.migrated_lanes == len(draws) > 0
+        assert max(capture for capture, _ in draws) > 1024
+        assert max(classify for _, classify in draws) > 256
+        assert_matches_oracle(spec, outcomes)
+
+    @pytest.mark.parametrize("devices, migrates", [(8, False), (9, True)])
+    def test_only_batches_wider_than_the_threshold_migrate(
+        self, devices, migrates, monkeypatch
+    ):
+        spec = FleetSpec(name="narrow", devices=devices, seed=4, n_events=5,
+                         policies=("NA", "AD", "TH50"), cells=(4,))
+        monkeypatch.setattr(kernel, "_MIGRATE_LANES", 8)
+        outcomes, stats = migrating_run(spec)
+        assert (stats.migrated_lanes > 0) == migrates
+        assert_matches_oracle(spec, outcomes)
+
+    def test_raising_continuation_reruns_from_scratch(self, monkeypatch):
+        spec = FleetSpec(name="raising", devices=12, seed=5, n_events=5,
+                         policies=("NA", "TH50"), cells=(6,))
+        monkeypatch.setattr(kernel, "_MIGRATE_LANES", 4)
+        resume_at = SimulationEngine.resume_at
+
+        def resume_then_fail(engine, *args):
+            resume_at(engine, *args)
+
+            def boom():
+                raise RuntimeError("continuation failed")
+
+            engine._finalize = boom
+
+        monkeypatch.setattr(SimulationEngine, "resume_at", resume_then_fail)
+        outcomes, stats = migrating_run(spec)
+        assert stats.migrated_lanes > 0
+        assert stats.fallback_lanes == stats.migrated_lanes
+        assert_matches_oracle(spec, outcomes)
+
+    def test_migrated_engines_emit_device_stamped_events(self, monkeypatch):
+        spec = FleetSpec(name="traced", devices=10, seed=6, n_events=4,
+                         policies=("NA", "AD"), cells=(4,))
+        monkeypatch.setattr(kernel, "_MIGRATE_LANES", 4)
+        tracer = RingBufferTracer(capacity=1_000_000)
+        outcomes, stats = migrating_run(spec, tracer=tracer)
+        assert stats.migrated_lanes > 0
+        events = tracer.events()
+        assert all(event.device is not None for event in events)
+        # The kernel elides quiescent capture ticks; only the scalar
+        # engine emits them, so these come from the continuations.
+        assert any(
+            event.kind == "capture" and not event.data["active"]
+            for event in events
+        )
+        assert_matches_oracle(spec, outcomes)
+
+
 class TestAutoKernel:
     def test_auto_resolves_vector_for_covered_mix(self):
         spec = FleetSpec(devices=256, policies=("NA", "AD", "TH50"))
@@ -97,7 +232,7 @@ class TestAutoKernel:
         assert resolve_kernel(spec, "auto") == "scalar"
 
     def test_auto_judges_width_per_shard(self):
-        # 512 devices over 4 shards is 128 lanes per shard: below 256.
+        # 512 devices over 4 shards is 128 lanes per shard: below 192.
         spec = FleetSpec(devices=512, policies=("NA", "AD", "TH50"))
         assert resolve_kernel(spec, "auto", shards=2) == "vector"
         assert resolve_kernel(spec, "auto", shards=4) == "scalar"
@@ -127,7 +262,7 @@ class TestAutoKernel:
         assert auto.rollup.to_dict() == explicit.rollup.to_dict()
         assert (
             "[fleet] kernel auto -> scalar "
-            "(3 devices per shard < 256; policies: NA, TH50)"
+            "(3 devices per shard < 192; policies: NA, TH50)"
         ) in lines
 
     def test_run_fleet_auto_logs_uncovered_policy(self):
@@ -140,7 +275,7 @@ class TestAutoKernel:
         ) in lines
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("devices, chosen", [(255, "scalar"), (256, "vector")])
+    @pytest.mark.parametrize("devices, chosen", [(191, "scalar"), (192, "vector")])
     def test_run_fleet_auto_at_the_crossover(self, devices, chosen):
         spec = FleetSpec(devices=devices, n_events=1, policies=("NA", "AD", "TH50"))
         lines = []
@@ -205,8 +340,8 @@ class TestKernelStatsTelemetry:
         assert recorder.kernel_stats_total() is None
 
     def test_stats_roundtrip_and_render(self):
-        stats = KernelStats(lanes=10, scalar_lanes=2, batches=1,
-                            iterations=123, ctrl_s=0.5, adv_s=1.0,
+        stats = KernelStats(lanes=10, scalar_lanes=2, migrated_lanes=7,
+                            batches=1, iterations=123, ctrl_s=0.5, adv_s=1.0,
                             rech_s=0.25, lane_build_s=0.1, batch_init_s=0.05)
         clone = KernelStats.from_dict(stats.as_dict())
         assert clone.as_dict() == stats.as_dict()
@@ -214,7 +349,8 @@ class TestKernelStatsTelemetry:
         merged.merge(stats)
         merged.merge(clone)
         assert merged.iterations == 246
+        assert merged.migrated_lanes == 14
         assert merged.kernel_s == pytest.approx(3.5)
         text = stats.render()
-        for token in ("CTRL", "ADV", "RECHG", "fallback", "setup"):
+        for token in ("CTRL", "ADV", "RECHG", "fallback", "setup", "7 migrated"):
             assert token in text

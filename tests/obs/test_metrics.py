@@ -216,9 +216,11 @@ class TestTelemetryViews:
     def test_kernel_stats_registry(self):
         from repro.fleet.kernel import KernelStats
 
-        stats = KernelStats(lanes=8, batches=1, ctrl_s=0.5, adv_s=1.5)
+        stats = KernelStats(lanes=8, migrated_lanes=3, batches=1,
+                            ctrl_s=0.5, adv_s=1.5)
         registry = kernel_stats_registry(stats)
         assert registry.get("repro_kernel_lanes_total").value() == 8
+        assert registry.get("repro_kernel_migrated_lanes_total").value() == 3
         phase = registry.get("repro_kernel_phase_seconds")
         assert phase.value(phase="ctrl") == Fraction(0.5)
         assert phase.value(phase="adv") == Fraction(1.5)
