@@ -280,25 +280,19 @@ def run_fleet_scale_case(
     }
 
 
-#: ``--check`` gate for the observability case: simulating with tracing
-#: *disabled* may cost at most this much over the plain engine (percent).
-#: Both sides are timed in the same harness run on the same machine, so
-#: the gate is meaningful at small thresholds; tracing *enabled* overhead
-#: is recorded but informational.
-OBS_OVERHEAD_PCT = float(os.environ.get("BENCH_OBS_OVERHEAD_PCT", "2.0"))
-
-
 def run_obs_overhead_case(repeats: int = 3) -> dict:
-    """Tracing overhead on the paper-scale NoAdapt workload.
+    """Tracing overhead on the paper-scale NoAdapt workload (informational).
 
-    Three interleaved measurements of the same run (best-of-``repeats``
-    each, so both sides of every ratio see the same machine noise):
+    Two interleaved measurements of the same run (best-of-``repeats``
+    each, so both sides of the ratio see the same machine noise):
 
-    * ``baseline``: plain ``simulate()`` — no observability kwargs;
-    * ``disabled``: ``simulate(tracer=None)`` — the default path every
-      non-observing caller takes, which must stay free;
+    * ``baseline``: plain ``simulate()`` — no tracer;
     * ``enabled``: ``simulate(tracer=RingBufferTracer())`` — the full
       per-event recording cost, reported for the docs/FAQ.
+
+    That the untraced path stays on the inlined capture loops is pinned
+    by a call-count test (``tests/obs/test_engine_tracing.py``,
+    ``TestUntracedCaptureFastPath``), not by timing.
     """
     from repro.obs import RingBufferTracer
 
@@ -314,28 +308,20 @@ def run_obs_overhead_case(repeats: int = 3) -> dict:
         )
         return time.perf_counter() - start
 
-    best = {"baseline": None, "disabled": None, "enabled": None}
+    best = {"baseline": None, "enabled": None}
     for _ in range(repeats):
-        for name, tracer in (
-            ("baseline", None),
-            ("disabled", None),
-            ("enabled", RingBufferTracer()),
-        ):
+        for name, tracer in (("baseline", None), ("enabled", RingBufferTracer())):
             elapsed = timed(tracer)
             if best[name] is None or elapsed < best[name]:
                 best[name] = elapsed
 
-    def overhead_pct(variant):
-        return round(100.0 * (best[variant] / best["baseline"] - 1.0), 2)
-
     return {
         "events": len(schedule.events),
-        "wall_s": round(best["disabled"], 4),
-        "wall_s_baseline": round(best["baseline"], 4),
+        "wall_s": round(best["baseline"], 4),
         "wall_s_enabled": round(best["enabled"], 4),
-        "disabled_overhead_pct": overhead_pct("disabled"),
-        "enabled_overhead_pct": overhead_pct("enabled"),
-        "gate_pct": OBS_OVERHEAD_PCT,
+        "enabled_overhead_pct": round(
+            100.0 * (best["enabled"] / best["baseline"] - 1.0), 2
+        ),
     }
 
 
@@ -467,10 +453,9 @@ def cmd_record(args) -> int:
                     f"generated ({setup['speedup']:.2f}x)"
                 )
             continue
-        if "disabled_overhead_pct" in res:
+        if "enabled_overhead_pct" in res:
             print(
-                f"  {name:24s} {res['wall_s']:8.4f}s  disabled "
-                f"{res['disabled_overhead_pct']:+.2f}%, enabled "
+                f"  {name:24s} {res['wall_s']:8.4f}s  enabled "
                 f"{res['enabled_overhead_pct']:+.2f}%"
             )
             continue
@@ -503,20 +488,12 @@ def cmd_check(args) -> int:
         else:
             res = run_case(name, repeats=args.repeats)
         results[name] = res
-        if "disabled_overhead_pct" in res:
-            # Self-contained gate: both sides were timed in this run, so
-            # no committed baseline is needed (and none could be
-            # machine-comparable at a 2% threshold anyway).
-            overhead = res["disabled_overhead_pct"]
-            ok = overhead <= OBS_OVERHEAD_PCT
-            status = "ok" if ok else "REGRESSION"
+        if "enabled_overhead_pct" in res:
             print(
-                f"  {name:24s} disabled {overhead:+.2f}% vs plain engine "
-                f"(gate {OBS_OVERHEAD_PCT:.1f}%), enabled "
-                f"{res['enabled_overhead_pct']:+.2f}% (informational)  {status}"
+                f"  {name:24s} tracing enabled "
+                f"{res['enabled_overhead_pct']:+.2f}% vs plain engine "
+                f"(informational)"
             )
-            if not ok:
-                failed.append(name)
             continue
         base = baseline["results"].get(name)
         if base is None:
@@ -549,8 +526,8 @@ def cmd_check(args) -> int:
                 )
             setup = res.get("setup")
             if setup is not None:
-                # Self-contained gate (like obs_overhead): both sides of
-                # the setup ratio were timed in this run.
+                # Self-contained gate: both sides of the setup ratio were
+                # timed in this run.
                 setup_ok = setup["speedup"] >= FLEET_SETUP_SPEEDUP
                 setup_status = "ok" if setup_ok else "REGRESSION"
                 print(

@@ -10,8 +10,8 @@ One curated import surface::
 Everything exported here — and exactly this list, pinned by
 ``tests/test_api_surface.py`` — is the stable, documented contract:
 
-* **single runs** — ``simulate`` / ``SimulationConfig`` / ``RunMetrics``
-  with a ``TelemetryRecorder`` for trajectories;
+* **single runs** — ``simulate`` / ``SimulationConfig`` / ``RunMetrics``,
+  with a ``TelemetryRecorder`` trace sink (``tracer=``) for trajectories;
 * **the systems under test** — ``QuetzalRuntime`` and every paper
   baseline behind the common ``Policy`` interface;
 * **workloads and worlds** — ``build_apollo_app`` / ``build_msp430_app``,

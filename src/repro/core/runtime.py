@@ -209,8 +209,8 @@ class QuetzalRuntime(Policy):
         self._arr_window = None
         self._arr_period = 1.0
         #: Work counters for the fast decision path (harvested into
-        #: RunMetrics and telemetry at the end of a run); all-zero whenever
-        #: the cached path is disabled.
+        #: RunMetrics at the end of a run); all-zero whenever the cached
+        #: path is disabled.
         self.decision_stats = DecisionPathStats()
         #: Trace sink handed over by the engine (SimulationEngine(tracer=...))
         #: so PID corrections land in the same event stream.

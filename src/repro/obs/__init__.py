@@ -15,8 +15,8 @@ Three layers over one event model (see DESIGN.md "Observability"):
 
 Everything here is strictly opt-in: with no tracer/registry/publisher
 attached, the engine and kernel hot paths are byte-for-byte the
-pre-observability code (``bench_engine.py obs_overhead`` pins the
-disabled path within 2% of the plain engine).
+pre-observability code (``TestUntracedCaptureFastPath`` in
+``tests/obs/test_engine_tracing.py`` pins the untraced capture path).
 """
 
 from repro.obs.events import EVENT_KINDS, SPAN_KINDS, TraceEvent

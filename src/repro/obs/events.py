@@ -2,13 +2,17 @@
 
 One run (or one fleet) is described as a stream of :class:`TraceEvent`
 rows on the simulated clock.  The engine, the Quetzal runtime, and the
-vector kernel all emit the same nine kinds, so a Perfetto timeline of a
-scalar run and of a vector-kernel lane read identically:
+vector kernel all emit from the same nine kinds, so a Perfetto timeline
+of a scalar run and of a vector-kernel lane share one layout.  They are
+not row-for-row equal: the kernel omits quiescent capture ticks (it
+emits only active ones), and its capture rows carry only ``active``,
+``interesting``, ``occupancy`` and ``energy_j``.
 
 ================  ==========================================================
 kind              meaning
 ================  ==========================================================
-``capture``       a sensor capture tick fired (payload: occupancy, active)
+``capture``       a sensor capture tick fired (payload: occupancy, energy_j,
+                  power_w, active, interesting, event)
 ``decision``      the policy scheduled a job (payload: job, option, flags)
 ``degradation``   a decision chose a degraded option (subset of decisions)
 ``ibo``           an input was dropped on buffer overflow

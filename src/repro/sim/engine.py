@@ -127,7 +127,6 @@ class SimulationEngine:
         storage: Supercapacitor | None = None,
         checkpoint: CheckpointModel | None = None,
         config: SimulationConfig | None = None,
-        telemetry=None,
         tracer=None,
     ) -> None:
         self.app = app
@@ -138,12 +137,11 @@ class SimulationEngine:
         self.storage = storage or Supercapacitor()
         self.checkpoint = checkpoint or CheckpointModel()
         self.config = config or SimulationConfig()
-        #: Optional :class:`repro.sim.telemetry.TelemetryRecorder`.
-        self.telemetry = telemetry
         #: Optional :class:`repro.obs.TraceSink` receiving typed timeline
         #: events (capture/decision/ibo/power_fail/checkpoint/restore/
-        #: recharge).  Like ``telemetry``, attaching one routes captures
-        #: through the readable reference body; results stay bit-identical.
+        #: recharge) — the engine's one observer hook.  Attaching one
+        #: routes captures through the readable reference body; results
+        #: stay bit-identical.
         self.tracer = tracer
 
         self.buffer = InputBuffer(self.config.buffer_capacity)
@@ -267,7 +265,7 @@ class SimulationEngine:
         if self._fast:
             sq = self._sq  # EventCursor (fast paths are on)
             self._cap_consts = (
-                self.telemetry is None and self.tracer is None,
+                self.tracer is None,
                 sq,
                 sq._starts,
                 sq._ends,
@@ -391,7 +389,7 @@ class SimulationEngine:
         t = idx * cap_period
         if t > limit:
             return
-        if not self._fast or self.telemetry is not None or self.tracer is not None:
+        if not self._fast or self.tracer is not None:
             while t <= limit:
                 self._do_capture(t)
                 idx = self._capture_index = idx + 1
@@ -403,7 +401,7 @@ class SimulationEngine:
         # a dozen attributes.  Same draws from the same RNG stream, same
         # metric increments (captures_total is batched: integer adds
         # commute and nothing reads it mid-loop), same insert state
-        # transitions; the telemetry path above keeps the readable
+        # transitions; the traced path above keeps the readable
         # reference body.
         metrics = self.metrics
         (
@@ -1035,14 +1033,6 @@ class SimulationEngine:
         # One event lookup answers the 'different' and 'interesting' pins
         # (active_at / interesting_at are both derived from event_at).
         ev = self._sq.event_at(t)
-        if self.telemetry is not None:
-            self.telemetry.on_capture(
-                t,
-                occupancy=self.buffer.occupancy,
-                stored_energy_j=self.storage.energy_j,
-                input_power_w=self._tq.power(t),
-                event_active=ev is not None,
-            )
         # One draw per capture keeps the arrival stream identical across
         # policies at a given seed, whether or not an event is in progress.
         # Draws are prefetched in chunks from the same stream.
@@ -1068,6 +1058,7 @@ class SimulationEngine:
                 "power_w": self._tq.power(t),
                 "active": active,
                 "interesting": interesting,
+                "event": ev is not None,
             }))
         hook = self._on_capture_hook
         if hook is not None:
@@ -1225,18 +1216,6 @@ class SimulationEngine:
             or entry._job_name != decision.job_name
         ):
             self._validate_decision(decision)
-        if self.telemetry is not None:
-            job = self.app.jobs.job(decision.job_name)
-            deg_task = job.degradable_task
-            option = decision.chosen_options.get(deg_task.name, deg_task.highest_quality)
-            self.telemetry.on_decision(
-                self.now,
-                job_name=decision.job_name,
-                option_name=option.name,
-                degraded=decision.degraded,
-                ibo_predicted=decision.ibo_predicted,
-                predicted_service_s=decision.predicted_service_s,
-            )
         if self.tracer is not None:
             job = self.app.jobs.job(decision.job_name)
             deg_task = job.degradable_task
@@ -1448,8 +1427,6 @@ class SimulationEngine:
             self.metrics.decision_scored_candidates = stats.scored_candidates
             self.metrics.degradation_walks = stats.degradation_walks
             self.metrics.degradation_walk_steps = stats.degradation_walk_steps
-        if self.telemetry is not None:
-            self.telemetry.on_run_end(stats)
 
 
 def simulate(
@@ -1461,13 +1438,11 @@ def simulate(
     storage: Supercapacitor | None = None,
     checkpoint: CheckpointModel | None = None,
     config: SimulationConfig | None = None,
-    telemetry=None,
     tracer=None,
 ) -> RunMetrics:
     """Convenience wrapper: build an engine, run it, return the metrics."""
     engine = SimulationEngine(
         app, policy, trace, schedule, mcu=mcu, storage=storage,
-        checkpoint=checkpoint, config=config, telemetry=telemetry,
-        tracer=tracer,
+        checkpoint=checkpoint, config=config, tracer=tracer,
     )
     return engine.run()

@@ -5,16 +5,17 @@ aggregates; understanding *why* a run behaved as it did — the story told
 by the paper's Figure 2a — needs the trajectories: buffer occupancy over
 time, stored energy, input power, and the quality decisions taken.
 
-:class:`TelemetryRecorder` is an optional engine attachment.  The engine
-calls it at every capture and every scheduling decision; samples are kept
-as parallel lists cheap enough to leave enabled for paper-scale runs.
+:class:`TelemetryRecorder` is a trace sink: attached as the engine's
+``tracer``, it keeps the ``capture`` and ``decision`` events as sample
+lists cheap enough to leave enabled for paper-scale runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.obs.events import TraceEvent
 
 __all__ = [
     "BufferSample",
@@ -32,7 +33,7 @@ class DecisionPathStats:
 
     Maintained by :class:`~repro.core.runtime.QuetzalRuntime` when its fast
     decision path is enabled (mirroring ``SimulationConfig(fast_paths=...)``)
-    and surfaced through :class:`TelemetryRecorder` and
+    as the runtime's live ``decision_stats`` and surfaced through
     :class:`~repro.sim.metrics.RunMetrics`.  These count *implementation
     work*, not simulated behaviour: a run with a 99% cache-hit rate and one
     with caching disabled produce bit-identical simulation results — these
@@ -135,7 +136,13 @@ class DecisionSample:
 
 
 class TelemetryRecorder:
-    """Collects per-capture and per-decision samples during a run.
+    """A :class:`~repro.obs.TraceSink` that keeps Figure 2a's trajectories.
+
+    Attach it as the engine's ``tracer``: ``capture`` events become
+    :class:`BufferSample` rows and ``decision`` events
+    :class:`DecisionSample` rows; every other kind is ignored.  It reads
+    the scalar engine's capture payload (``power_w`` and ``event`` are not
+    in the vector kernel's).
 
     Parameters
     ----------
@@ -150,66 +157,44 @@ class TelemetryRecorder:
         self.sample_every = sample_every
         self.buffer_samples: list[BufferSample] = []
         self.decisions: list[DecisionSample] = []
-        #: End-of-run decision-path work counters (None until the engine
-        #: finalizes a run with a policy that exposes them).
-        self.decision_path: DecisionPathStats | None = None
         self._capture_count = 0
         # Occupancy aggregates run over *every* capture tick: sampling
         # thins the stored series only, never the statistics.
         self._occ_peak = 0
         self._occ_sum = 0
 
-    # -- engine hooks -----------------------------------------------------------
+    # -- TraceSink -----------------------------------------------------------------
 
-    def on_capture(
-        self,
-        t: float,
-        occupancy: int,
-        stored_energy_j: float,
-        input_power_w: float,
-        event_active: bool,
-    ) -> None:
-        self._capture_count += 1
-        if occupancy > self._occ_peak:
-            self._occ_peak = occupancy
-        self._occ_sum += occupancy
-        if (self._capture_count - 1) % self.sample_every:
-            return
-        self.buffer_samples.append(
-            BufferSample(t, occupancy, stored_energy_j, input_power_w, event_active)
-        )
-
-    def on_decision(
-        self,
-        t: float,
-        job_name: str,
-        option_name: str,
-        degraded: bool,
-        ibo_predicted: bool,
-        predicted_service_s: float | None,
-    ) -> None:
-        self.decisions.append(
-            DecisionSample(
-                t, job_name, option_name, degraded, ibo_predicted, predicted_service_s
+    def emit(self, event: TraceEvent) -> None:
+        data = event.data
+        if event.kind == "capture":
+            occupancy = data["occupancy"]
+            self._capture_count += 1
+            if occupancy > self._occ_peak:
+                self._occ_peak = occupancy
+            self._occ_sum += occupancy
+            if (self._capture_count - 1) % self.sample_every:
+                return
+            self.buffer_samples.append(
+                BufferSample(
+                    event.t, occupancy, data["energy_j"], data["power_w"],
+                    data["event"],
+                )
             )
-        )
-
-    def on_run_end(self, decision_path: DecisionPathStats | None) -> None:
-        """Snapshot the policy's decision-path counters at finalize time.
-
-        A *copy* is stored: the policy object may be reused for another
-        run, and a recorder must keep the counters of the run it watched.
-        """
-        self.decision_path = (
-            replace(decision_path) if decision_path is not None else None
-        )
+        elif event.kind == "decision":
+            self.decisions.append(
+                DecisionSample(
+                    event.t, data["job"], data["option"], data["degraded"],
+                    data["ibo_predicted"], data["predicted_service_s"],
+                )
+            )
 
     # -- analysis helpers ----------------------------------------------------------
 
     def peak_occupancy(self) -> int:
         """Highest buffer occupancy observed at any capture tick.
 
-        Computed from every ``on_capture`` event, not the (possibly
+        Computed from every ``capture`` event, not the (possibly
         thinned) stored series — ``sample_every`` never changes it.
         """
         return self._occ_peak

@@ -11,13 +11,16 @@ import json
 import pytest
 
 from repro.core.runtime import QuetzalRuntime
+from repro.env.activity import CROWDED
 from repro.env.events import Event, EventSchedule
 from repro.fleet import FleetSpec, run_fleet
 from repro.fleet.service import run_shard
 from repro.obs import EVENT_KINDS, HeartbeatPublisher, RingBufferTracer
 from repro.obs.heartbeat import validate_heartbeat_records
 from repro.policies.noadapt import NoAdaptPolicy
-from repro.sim.engine import SimulationConfig, simulate
+from repro.sim.engine import SimulationConfig, SimulationEngine, simulate
+from repro.sim.telemetry import TelemetryRecorder
+from repro.trace.solar import SolarTraceGenerator
 from repro.trace.synthetic import constant_trace
 from repro.workload.pipelines import build_apollo_app
 
@@ -94,6 +97,14 @@ class TestScalarEngineTracing:
                 if event.kind == kind:
                     assert event.dur > 0.0
 
+    def test_capture_events_carry_event_flag(self, steady_trace):
+        ring = RingBufferTracer()
+        run_traced(NoAdaptPolicy(), steady_trace, tracer=ring)
+        captures = [e.data for e in ring.events() if e.kind == "capture"]
+        assert all(type(data["event"]) is bool for data in captures)
+        assert all(data["event"] for data in captures if data["interesting"])
+        assert {data["event"] for data in captures} == {True, False}
+
     def test_quetzal_emits_pid_updates(self, steady_trace):
         ring = RingBufferTracer()
         run_traced(QuetzalRuntime(), steady_trace, tracer=ring)
@@ -108,6 +119,47 @@ class TestScalarEngineTracing:
         degradations = [e for e in ring.events() if e.kind == "degradation"]
         assert degradations
         assert degradations[0].data["option"] in ("lenet", "single-byte")
+
+
+class TestUntracedCaptureFastPath:
+    """Only an observed run takes the readable capture body.
+
+    Untraced runs fire every capture through the inlined loops in
+    ``_advance_to`` / ``_fire_due_captures``; attaching any sink routes
+    each capture through ``_do_capture`` exactly once.  Counting calls
+    pins the untraced path's cost where a same-process timing ratio
+    cannot: both legs of such a ratio slow down together.
+    """
+
+    CAPTURES = {"NA": 1847, "QZ": 1457}
+
+    @pytest.fixture(scope="class")
+    def solar_trace(self):
+        return SolarTraceGenerator(seed=1).generate()
+
+    @pytest.fixture
+    def capture_calls(self, monkeypatch):
+        calls = []
+        do_capture = SimulationEngine._do_capture
+
+        def counting(engine, t):
+            calls.append(t)
+            do_capture(engine, t)
+
+        monkeypatch.setattr(SimulationEngine, "_do_capture", counting)
+        return calls
+
+    @pytest.mark.parametrize("sink", [None, RingBufferTracer, TelemetryRecorder])
+    @pytest.mark.parametrize("policy", ["NA", "QZ"])
+    def test_do_capture_calls(self, capture_calls, solar_trace, policy, sink):
+        factory = {"NA": NoAdaptPolicy, "QZ": QuetzalRuntime}[policy]
+        metrics = simulate(
+            build_apollo_app(), factory(), solar_trace,
+            CROWDED.schedule(30, seed=2), config=SimulationConfig(seed=3),
+            tracer=None if sink is None else sink(),
+        )
+        assert metrics.captures_total == self.CAPTURES[policy]
+        assert len(capture_calls) == (0 if sink is None else metrics.captures_total)
 
 
 def baseline_spec(**kw):

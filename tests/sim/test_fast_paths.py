@@ -155,21 +155,20 @@ def test_decision_counters_populated_on_fast_path(solar_trace, schedule):
 
 
 def test_decision_counters_surface_in_telemetry(solar_trace, schedule):
-    """The TelemetryRecorder snapshot must match the RunMetrics counters."""
+    """The policy's live counters must match the RunMetrics counters."""
     from repro.sim.telemetry import TelemetryRecorder
 
-    recorder = TelemetryRecorder()
+    policy = QuetzalRuntime()
     config = SimulationConfig(seed=5, fast_paths=True)
     metrics = simulate(
         build_apollo_app(),
-        QuetzalRuntime(),
+        policy,
         solar_trace,
         schedule,
         config=config,
-        telemetry=recorder,
+        tracer=TelemetryRecorder(),
     )
-    stats = recorder.decision_path
-    assert stats is not None
+    stats = policy.decision_stats
     assert stats.cache_hits == metrics.decision_cache_hits
     assert stats.cache_misses == metrics.decision_cache_misses
     assert stats.scored_candidates == metrics.decision_scored_candidates

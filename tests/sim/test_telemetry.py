@@ -4,26 +4,77 @@ import pytest
 
 from repro.env.events import Event, EventSchedule
 from repro.errors import ConfigurationError
+from repro.obs import RingBufferTracer, TraceEvent, TraceSink
 from repro.policies.noadapt import NoAdaptPolicy
 from repro.core.runtime import QuetzalRuntime
 from repro.sim.engine import SimulationConfig, SimulationEngine
-from repro.sim.telemetry import TelemetryRecorder
+from repro.sim.telemetry import BufferSample, DecisionSample, TelemetryRecorder
 from repro.trace.synthetic import two_level_trace
 from repro.workload.pipelines import build_apollo_app
 
 
-def run_with_telemetry(policy, trace, sample_every=1, duration=30.0, seed=0):
-    telemetry = TelemetryRecorder(sample_every=sample_every)
+def run_with_telemetry(
+    policy, trace, sample_every=1, duration=30.0, seed=0, sink=None
+):
+    telemetry = TelemetryRecorder(sample_every) if sink is None else sink
     engine = SimulationEngine(
         build_apollo_app(),
         policy,
         trace,
         EventSchedule([Event(5.0, duration, True)], diff_probability=1.0),
         config=SimulationConfig(seed=seed, drain_timeout_s=500.0),
-        telemetry=telemetry,
+        tracer=telemetry,
     )
     metrics = engine.run()
     return telemetry, metrics
+
+
+class TestTraceSink:
+    def test_is_a_trace_sink(self):
+        assert isinstance(TelemetryRecorder(), TraceSink)
+
+    def test_rows_equal_the_trace_stream(self, low_power_trace):
+        recorder, _ = run_with_telemetry(
+            QuetzalRuntime(), low_power_trace, duration=60.0, seed=4
+        )
+        ring, _ = run_with_telemetry(
+            QuetzalRuntime(), low_power_trace, duration=60.0, seed=4,
+            sink=RingBufferTracer(),
+        )
+        assert ring.dropped == 0
+        events = ring.events()
+        captures = [
+            BufferSample(
+                e.t, e.data["occupancy"], e.data["energy_j"],
+                e.data["power_w"], e.data["event"],
+            )
+            for e in events if e.kind == "capture"
+        ]
+        decisions = [
+            DecisionSample(
+                e.t, e.data["job"], e.data["option"], e.data["degraded"],
+                e.data["ibo_predicted"], e.data["predicted_service_s"],
+            )
+            for e in events if e.kind == "decision"
+        ]
+        assert recorder.buffer_samples == captures
+        assert recorder.decisions == decisions
+        assert any(d.degraded for d in decisions)
+        assert {s.event_active for s in captures} == {True, False}
+
+    def test_other_kinds_are_ignored(self):
+        recorder = TelemetryRecorder()
+        for event in (
+            TraceEvent(1.0, "pid_update", data={"job": "ml", "error_s": 0.1}),
+            TraceEvent(2.0, "recharge", dur=5.0),
+            TraceEvent(3.0, "ibo", data={"interesting": True}),
+            TraceEvent(4.0, "degradation", data={"job": "ml", "option": "lenet"}),
+        ):
+            recorder.emit(event)
+        assert recorder.buffer_samples == []
+        assert recorder.decisions == []
+        assert recorder.peak_occupancy() == 0
+        assert recorder.mean_occupancy() == 0.0
 
 
 class TestRecorder:

@@ -86,7 +86,7 @@ def test_section6_telemetry(tutorial_world):
     telemetry = TelemetryRecorder()
     engine = SimulationEngine(
         build_apollo_app(), QuetzalRuntime(), trace, schedule,
-        config=SimulationConfig(seed=42), telemetry=telemetry,
+        config=SimulationConfig(seed=42), tracer=telemetry,
     )
     engine.run()
     times, occupancy = telemetry.occupancy_series()
@@ -96,20 +96,20 @@ def test_section6_telemetry(tutorial_world):
 
 
 def test_profiling_section_decision_counters(tutorial_world):
-    """The 'Profiling a figure' walkthrough's telemetry-counter snippet."""
+    """The 'Profiling a figure' walkthrough's decision-counter snippet."""
     app, trace, schedule = tutorial_world
-    recorder = TelemetryRecorder()
+    policy = QuetzalRuntime()
     metrics = simulate(
-        build_apollo_app(), QuetzalRuntime(), trace, schedule,
-        config=SimulationConfig(seed=5), telemetry=recorder,
+        build_apollo_app(), policy, trace, schedule,
+        config=SimulationConfig(seed=5),
     )
     assert (
         metrics.decision_scored_candidates
         == metrics.decision_cache_hits + metrics.decision_cache_misses
         > 0
     )
-    stats = recorder.decision_path
-    assert stats is not None
+    stats = policy.decision_stats
+    assert stats.cache_hits == metrics.decision_cache_hits
     assert 0.0 <= stats.as_dict()["cache_hit_rate"] <= 1.0
     reference = simulate(
         build_apollo_app(), QuetzalRuntime(), trace, schedule,
