@@ -326,11 +326,15 @@ def fig9_vs_nonadaptive(
         result.rows.extend(rows)
         _ratio_note(result, results, env.name, "NA")
         _ratio_note(result, results, env.name, "AD")
+        qz_share = (
+            100 * results["QZ"].reported_interesting / ideal_reported
+            if ideal_reported
+            else 0.0
+        )
         result.add_note(
             f"{env.name}: QZ high-quality share "
             f"{100 * results['QZ'].high_quality_fraction:.1f}%, reports "
-            f"{100 * results['QZ'].reported_interesting / ideal_reported:.0f}% "
-            "of the infinite-memory baseline"
+            f"{qz_share:.0f}% of the infinite-memory baseline"
         )
     return result
 

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import gc
 import math
+import mmap
 import time
 from dataclasses import dataclass, fields as dataclass_fields
 
@@ -103,9 +104,11 @@ _R_BLOCK, _R_FAILURE, _R_IDLE = 0, 1, 2
 # Policy families with a vector decision path.
 _K_NOADAPT, _K_ALWAYS, _K_BUFFER, _K_POWER = 0, 1, 2, 3
 
-#: Classification draws fetched per device per refill.  Any size yields the
-#: same stream (Generator.random(n) == n scalar draws); capture draws are
-#: chunked at 1024 to mirror the scalar engine's own chunking exactly.
+#: Draws fetched per device per refill.  Any chunk size yields the same
+#: stream (``Generator.random(out=)`` over ``n`` slots consumes exactly
+#: ``n`` scalar draws), and migration hands the engine draw *counts*, so
+#: neither chunk has to match the scalar engine's own 1024: 256 keeps the
+#: double-buffered capture table at 4 KB per lane instead of 16 KB.
 #:
 #: Cohort-refill contract: refills are batched and double-buffered — each
 #: lane's draw buffer holds *two* chunks, and whenever any drawing lane
@@ -116,7 +119,7 @@ _K_NOADAPT, _K_ALWAYS, _K_BUFFER, _K_POWER = 0, 1, 2, 3
 #: the identical chunk-sized call sequence, and draws generated early are
 #: simply consumed later, so the value read for draw ``k`` never changes.
 _CLS_CHUNK = 256
-_CAP_CHUNK = 1024
+_CAP_CHUNK = 256
 
 #: Straggler migration: a batch that started wider than this retires each
 #: lane at its next CTRL step once fewer than this many lanes are live,
@@ -477,6 +480,14 @@ _ROW_ARRAYS = ("buf_t", "buf_int", "buf_job", "buf_used")
 #: even with dead-lane gaps.
 
 
+def _anon_zeros(shape) -> np.ndarray:
+    """A zeroed float64 array in its own private anonymous mapping, whose
+    pages go back to the OS when the array dies (glibc kept freed 14.7 MB
+    heap tables resident)."""
+    mapping = mmap.mmap(-1, max(8 * math.prod(shape), 1), flags=mmap.MAP_PRIVATE)
+    return np.ndarray(shape, dtype=np.float64, buffer=mapping)
+
+
 def _lane_float_consts(lane: _Lane) -> tuple:
     """Per-lane float constants, in ``_F_CONST_FIELDS`` order."""
     trace = lane.trace
@@ -580,6 +591,7 @@ class _VectorBatch:
         self.trow[:] = self._ar
         self.results: list = [None] * D
 
+        self._fill_traces(lanes)
         # Bulk constant fill: one boxed tuple per lane, one transposed copy.
         self.F[: len(_F_CONST_FIELDS)] = np.array(
             [_lane_float_consts(lane) for lane in lanes], dtype=f8
@@ -592,13 +604,6 @@ class _VectorBatch:
             lane.shape[7].metadata["quality"] == "high" for lane in lanes
         ]
 
-        # -- per-lane trace / schedule tables --
-        self.powers = np.empty((D, N), dtype=f8)
-        self.cum = np.empty((D, N), dtype=f8)
-        for i, lane in enumerate(lanes):
-            trace = lane.trace
-            self.powers[i] = trace._powers
-            self.cum[i] = trace._cum_energy
         # Schedules expose their columnar (starts, durations, interesting)
         # view directly; ``starts + durations`` reproduces ``Event.end``
         # element-wise, so no per-event Python objects are touched here
@@ -674,8 +679,8 @@ class _VectorBatch:
         # double-buffered: two chunk planes per lane, indexed by the
         # absolute counters modulo 2*chunk, so a cohort refill can land a
         # lane's next chunk while the current one still has unread draws.
-        self.cap_chunk = np.zeros((2 * _CAP_CHUNK, D), dtype=f8)
-        self.cls_chunk = np.zeros((2 * _CLS_CHUNK, D), dtype=f8)
+        self.cap_chunk = _anon_zeros((2 * _CAP_CHUNK, D))
+        self.cls_chunk = _anon_zeros((2 * _CLS_CHUNK, D))
 
         # -- straggler migration: retired lanes' orig index + loop-head state
         self.migrating = False
@@ -703,6 +708,33 @@ class _VectorBatch:
                 [lane.device for lane in lanes], dtype=np.int64
             )
             self._trace_rows: list = []
+
+    def _fill_traces(self, lanes) -> None:
+        """Make the table rows each lane's only trace copy.
+
+        Store-attached schedules become private copies, so a segment's
+        mapping closes once its lanes are filled; filling in source-address
+        order walks the store one segment at a time.
+        """
+        self.powers = powers = _anon_zeros((self.D, self.N))
+        self.cum = cum = _anon_zeros((self.D, self.N))
+        times = self.times1d  # equal to every lane's grid (_integer_grid)
+        source = [lane.trace._powers.__array_interface__["data"][0] for lane in lanes]
+        for i in sorted(range(self.D), key=source.__getitem__):
+            lane = lanes[i]
+            trace = lane.trace
+            powers[i] = trace._powers
+            cum[i] = trace._cum_energy
+            lane.trace = PiecewiseConstantTrace._attach(
+                times, powers[i], cum[i], trace._period, trace._energy_per_period
+            )
+            sched = lane.schedule
+            columns = sched.arrays()
+            if columns[0].base is not None:  # a view of a store segment
+                lane.schedule = EventSchedule._from_arrays(
+                    *(column.copy() for column in columns),
+                    sched.diff_probability, sched.background_diff_probability,
+                )
 
     # --------------------------------------------------------------- layout --
 
@@ -751,13 +783,20 @@ class _VectorBatch:
 
     def _loop_head(self, i: int) -> tuple:
         """Column ``i``'s lane and ``SimulationEngine.resume_at`` arguments."""
+        row = int(self.trow[i])
+        lane = self.lanes[row]
+        # The continuation outlives the tables: it runs on its own rows.
+        lane.trace = PiecewiseConstantTrace._attach(
+            self.times1d, self.powers[row].copy(), self.cum[row].copy(),
+            lane.trace._period, lane.trace._energy_per_period,
+        )
         used = self.buf_used[i].nonzero()[0]
         pending = [
             (float(self.buf_t[i, s]), bool(self.buf_int[i, s]),
              TRANSMIT_JOB if self.buf_job[i, s] else DETECT_JOB)
             for s in used[np.argsort(self.buf_t[i, used])]
         ]
-        return self.lanes[int(self.trow[i])], (
+        return lane, (
             float(self.now[i]), float(self.energy[i]), self._metrics(i),
             int(self.cap_idx[i]), int(self.cap_pos[i]), int(self.cls_pos[i]),
             pending,
@@ -869,7 +908,7 @@ class _VectorBatch:
         cohort = ((fill - pos) <= chunk).nonzero()[0]
         # Group by landing plane first so each plane's store is one
         # contiguous slice of the staging block.
-        offsets = fill[cohort] & (2 * chunk - 1)  # 0 or chunk per lane
+        offsets = fill[cohort] % (2 * chunk)  # 0 or chunk per lane
         cohort = cohort[np.argsort(offsets, kind="stable")]
         low = int(np.count_nonzero(offsets == 0))
         rows = self.trow[cohort]
@@ -890,7 +929,7 @@ class _VectorBatch:
                 self.cap_pos, self.cap_fill, self.cap_rngs,
                 self.cap_chunk, _CAP_CHUNK,
             )
-        draws = self.cap_chunk[pos & (2 * _CAP_CHUNK - 1), self.trow[lanes]]
+        draws = self.cap_chunk[pos % (2 * _CAP_CHUNK), self.trow[lanes]]
         self.cap_pos[lanes] = pos + 1
         return draws
 
@@ -902,7 +941,7 @@ class _VectorBatch:
                 self.cls_pos, self.cls_fill, self.cls_rngs,
                 self.cls_chunk, _CLS_CHUNK,
             )
-        draws = self.cls_chunk[pos & (2 * _CLS_CHUNK - 1), self.trow[lanes]]
+        draws = self.cls_chunk[pos % (2 * _CLS_CHUNK), self.trow[lanes]]
         self.cls_pos[lanes] = pos + 1
         return draws
 
@@ -1847,14 +1886,9 @@ def _build_lanes(spec, chunk, kinds, store=None):
     return vector_lanes, scalar_lanes, attach_s
 
 
-def _run_lane_groups(vector_lanes, factories, stats: KernelStats | None = None,
-                     tracer=None):
-    """Run vector lanes through batches; returns [(lane, metrics-or-None)].
-
-    Lanes are grouped by array geometry (trace samples, buffer width) and
-    capture period, which the batch hoists to scalars.  ``factories`` maps
-    policy names to the factories migrated lanes' engines are built with.
-    """
+def _lane_groups(vector_lanes) -> list[list[_Lane]]:
+    """Vector lanes split into batches by array geometry (trace samples,
+    buffer width) and capture period, which the batch hoists to scalars."""
     groups: dict[tuple, list[_Lane]] = {}
     for lane in vector_lanes:
         key = (
@@ -1863,9 +1897,19 @@ def _run_lane_groups(vector_lanes, factories, stats: KernelStats | None = None,
             lane.sim.capture_period_s,
         )
         groups.setdefault(key, []).append(lane)
+    return list(groups.values())
+
+
+def _run_lane_groups(vector_lanes, factories, stats: KernelStats | None = None,
+                     tracer=None):
+    """Run vector lanes through batches; returns [(lane, metrics-or-None)].
+
+    ``factories`` maps policy names to the factories migrated lanes'
+    engines are built with.
+    """
     out = []
     perf = time.perf_counter
-    for group in groups.values():
+    for group in _lane_groups(vector_lanes):
         # The batch kind-sorts its columns internally and returns results
         # in caller order, so groups go in as-is.
         gc_was_enabled = gc.isenabled()

@@ -17,7 +17,7 @@ prediction-accuracy sums used by the sensitivity analyses and tests.
 For populations of runs (seed replicas, device fleets) this module also
 provides :class:`MetricsRollup`: a constant-size, *mergeable* streaming
 fold over :class:`RunMetrics` values.  Rollups accumulate with exact
-rational arithmetic, so any partition of the same runs into partial
+integer arithmetic, so any partition of the same runs into partial
 rollups merges to a bit-identical result — the property the fleet
 subsystem's serial-vs-sharded and checkpoint-resume guarantees rest on.
 """
@@ -202,22 +202,37 @@ class RunMetrics:
 # ---------------------------------------------------------------------------
 # Mergeable streaming rollups.
 #
-# Everything below is exact integer/rational arithmetic on purpose: float
-# addition is not associative, so a sum folded per-shard and then merged
-# would differ in the last bits from the same sum folded serially.  With
-# Fraction accumulators (every float is an exact binary rational) any
-# grouping of the same observations produces the same exact total, which
-# is what makes shard-parallel and checkpoint-resumed fleet runs
-# bit-identical to uninterrupted serial ones.
+# Everything below is exact integer arithmetic on purpose: float addition
+# is not associative, so a sum folded per-shard and then merged would
+# differ in the last bits from the same sum folded serially.  Every finite
+# double is n / 2**k with k <= 1074, so a sum scaled by 2**1074 (a sum of
+# squares by 2**2148) is an exact int, and any grouping of the same
+# observations produces the same total.  That is what makes shard-parallel
+# and checkpoint-resumed fleet runs bit-identical to uninterrupted serial
+# ones.  The sums read, and serialize, as reduced Fractions.
 # ---------------------------------------------------------------------------
 
+_SCALE, _SCALE_SQ = 1074, 2148
 
-def _fraction_to_pair(value: Fraction) -> list:
+
+def _scaled(value: float) -> int:
+    """``value * 2**1074``, exactly."""
+    n, d = value.as_integer_ratio()
+    return n << (_SCALE + 1 - d.bit_length())
+
+
+def _fraction_to_pair(scaled: int, scale: int = _SCALE) -> list:
+    value = Fraction(scaled, 1 << scale)
     return [value.numerator, value.denominator]
 
 
-def _pair_to_fraction(pair) -> Fraction:
-    return Fraction(int(pair[0]), int(pair[1]))
+def _pair_to_scaled(pair, scale: int = _SCALE) -> int:
+    """A serialized sum, scaled; ``ValueError`` unless its denominator is
+    a power of two no larger than ``2**scale``, as every double sum's is."""
+    n, d = int(pair[0]), int(pair[1])
+    if d <= 0 or d & (d - 1) or d.bit_length() > scale + 1:
+        raise ValueError(f"{pair!r} is not an exact sum of doubles")
+    return n << (scale + 1 - d.bit_length())
 
 
 class StreamingDistribution:
@@ -226,24 +241,31 @@ class StreamingDistribution:
     Tracks the exact sum and sum of squares (for mean/std), the exact
     observed min/max, plus a fixed ``BIN_COUNT``-bin histogram over
     ``[0, 1]`` (for percentiles at ``1/BIN_COUNT`` resolution).  All
-    state is integers, exact rationals, and exact observed floats, so
-    :meth:`merge` is associative and commutative — any sharding of the
-    same observations folds to identical state.
+    state is integers and exact observed floats, so :meth:`merge` is
+    associative and commutative — any sharding of the same observations
+    folds to identical state.
     """
 
     BIN_COUNT = 256
 
-    __slots__ = ("count", "total", "total_sq", "bins", "vmin", "vmax")
+    __slots__ = ("count", "_total", "_total_sq", "bins", "vmin", "vmax")
 
-    def __init__(self, count: int = 0, total: Fraction = Fraction(0),
-                 total_sq: Fraction = Fraction(0), bins=None,
+    def __init__(self, count: int = 0, bins=None,
                  vmin: float | None = None, vmax: float | None = None) -> None:
         self.count = count
-        self.total = total
-        self.total_sq = total_sq
+        self._total = 0  # sum * 2**1074
+        self._total_sq = 0  # sum of squares * 2**2148
         self.bins: list[int] = list(bins) if bins is not None else [0] * self.BIN_COUNT
         self.vmin = vmin
         self.vmax = vmax
+
+    @property
+    def total(self) -> Fraction:
+        return Fraction(self._total, 1 << _SCALE)
+
+    @property
+    def total_sq(self) -> Fraction:
+        return Fraction(self._total_sq, 1 << _SCALE_SQ)
 
     # -- accumulation ------------------------------------------------------------
 
@@ -259,10 +281,11 @@ class StreamingDistribution:
             raise SimulationError(
                 f"distribution observation {value!r} outside [0, 1]"
             )
-        exact = Fraction(value)
+        n, d = value.as_integer_ratio()
+        shift = _SCALE + 1 - d.bit_length()
         self.count += 1
-        self.total += exact
-        self.total_sq += exact * exact
+        self._total += n << shift
+        self._total_sq += (n * n) << (2 * shift)
         index = min(int(value * self.BIN_COUNT), self.BIN_COUNT - 1)
         self.bins[index] += 1
         if self.vmin is None or value < self.vmin:
@@ -272,8 +295,8 @@ class StreamingDistribution:
 
     def merge(self, other: "StreamingDistribution") -> None:
         self.count += other.count
-        self.total += other.total
-        self.total_sq += other.total_sq
+        self._total += other._total
+        self._total_sq += other._total_sq
         for i, n in enumerate(other.bins):
             self.bins[i] += n
         if other.vmin is not None and (self.vmin is None or other.vmin < self.vmin):
@@ -323,8 +346,8 @@ class StreamingDistribution:
     def to_dict(self) -> dict:
         return {
             "count": self.count,
-            "total": _fraction_to_pair(self.total),
-            "total_sq": _fraction_to_pair(self.total_sq),
+            "total": _fraction_to_pair(self._total),
+            "total_sq": _fraction_to_pair(self._total_sq, _SCALE_SQ),
             "bins": {str(i): n for i, n in enumerate(self.bins) if n},
             # JSON floats round-trip exactly (repr-based), so min/max stay
             # bit-identical through serialization.
@@ -337,22 +360,20 @@ class StreamingDistribution:
         bins = [0] * cls.BIN_COUNT
         for key, n in data["bins"].items():
             bins[int(key)] = int(n)
-        return cls(
-            count=int(data["count"]),
-            total=_pair_to_fraction(data["total"]),
-            total_sq=_pair_to_fraction(data["total_sq"]),
-            bins=bins,
-            vmin=data["min"],
-            vmax=data["max"],
+        dist = cls(
+            count=int(data["count"]), bins=bins, vmin=data["min"], vmax=data["max"]
         )
+        dist._total = _pair_to_scaled(data["total"])
+        dist._total_sq = _pair_to_scaled(data["total_sq"], _SCALE_SQ)
+        return dist
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StreamingDistribution):
             return NotImplemented
         return (
             self.count == other.count
-            and self.total == other.total
-            and self.total_sq == other.total_sq
+            and self._total == other._total
+            and self._total_sq == other._total_sq
             and self.bins == other.bins
             and self.vmin == other.vmin
             and self.vmax == other.vmax
@@ -388,7 +409,7 @@ _COUNTER_FIELDS = (
     "degradation_walk_steps",
 )
 
-#: RunMetrics float accumulators, summed as exact rationals.
+#: RunMetrics float accumulators, summed exactly.
 _SUM_FIELDS = (
     "sim_end_s",
     "energy_harvested_j",
@@ -414,23 +435,28 @@ class MetricsRollup:
     """Streaming, mergeable fold over :class:`RunMetrics` values.
 
     Holds O(1) state regardless of how many runs were observed: exact
-    integer totals for every counter, exact rational sums for the float
+    integer totals for every counter, exact sums for the float
     accumulators, a :class:`StreamingDistribution` per figure-of-merit
     fraction, and the merged per-option degradation counts.  ``merge``
     is associative, so per-shard rollups fold to the same state as one
     serial rollup over the same runs (in any grouping).
     """
 
-    __slots__ = ("runs", "counters", "sums", "dists", "option_use")
+    __slots__ = ("runs", "counters", "_sums", "dists", "option_use")
 
     def __init__(self) -> None:
         self.runs = 0
         self.counters: dict[str, int] = {name: 0 for name in _COUNTER_FIELDS}
-        self.sums: dict[str, Fraction] = {name: Fraction(0) for name in _SUM_FIELDS}
+        self._sums: dict[str, int] = {name: 0 for name in _SUM_FIELDS}
         self.dists: dict[str, StreamingDistribution] = {
             name: StreamingDistribution() for name in _DIST_FIELDS
         }
         self.option_use: dict[str, dict[str, int]] = {}
+
+    @property
+    def sums(self) -> dict[str, Fraction]:
+        """The exact float-accumulator sums."""
+        return {name: Fraction(v, 1 << _SCALE) for name, v in self._sums.items()}
 
     # -- accumulation ------------------------------------------------------------
 
@@ -440,9 +466,9 @@ class MetricsRollup:
         counters = self.counters
         for name in _COUNTER_FIELDS:
             counters[name] += getattr(metrics, name)
-        sums = self.sums
+        sums = self._sums
         for name in _SUM_FIELDS:
-            sums[name] += Fraction(getattr(metrics, name))
+            sums[name] += _scaled(getattr(metrics, name))
         for name, attribute in _DIST_FIELDS.items():
             self.dists[name].observe(getattr(metrics, attribute))
         for task_name, per_option in metrics.option_use.items():
@@ -456,7 +482,7 @@ class MetricsRollup:
         for name in _COUNTER_FIELDS:
             self.counters[name] += other.counters[name]
         for name in _SUM_FIELDS:
-            self.sums[name] += other.sums[name]
+            self._sums[name] += other._sums[name]
         for name in _DIST_FIELDS:
             self.dists[name].merge(other.dists[name])
         for task_name, per_option in other.option_use.items():
@@ -472,7 +498,7 @@ class MetricsRollup:
             return 0.0
         if name in self.counters:
             return self.counters[name] / self.runs
-        return float(self.sums[name] / self.runs)
+        return float(Fraction(self._sums[name], self.runs << _SCALE))
 
     def decision_path_totals(self):
         """Fleet-total decision-path work counters.
@@ -502,18 +528,18 @@ class MetricsRollup:
             out[f"{name}_p99"] = dist.percentile(99.0)
         for name in _COUNTER_FIELDS:
             out[name] = self.counters[name]
-        for name in _SUM_FIELDS:
-            out[name] = float(self.sums[name])
+        for name, value in self.sums.items():
+            out[name] = float(value)
         return out
 
     # -- serialization -----------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Exact JSON-safe state (rationals as [numerator, denominator])."""
+        """Exact JSON-safe state (sums as reduced [numerator, denominator])."""
         return {
             "runs": self.runs,
             "counters": dict(self.counters),
-            "sums": {name: _fraction_to_pair(v) for name, v in self.sums.items()},
+            "sums": {name: _fraction_to_pair(v) for name, v in self._sums.items()},
             "dists": {name: d.to_dict() for name, d in self.dists.items()},
             "option_use": {
                 task: dict(options) for task, options in self.option_use.items()
@@ -527,7 +553,7 @@ class MetricsRollup:
         for name in _COUNTER_FIELDS:
             rollup.counters[name] = int(data["counters"][name])
         for name in _SUM_FIELDS:
-            rollup.sums[name] = _pair_to_fraction(data["sums"][name])
+            rollup._sums[name] = _pair_to_scaled(data["sums"][name])
         for name in _DIST_FIELDS:
             rollup.dists[name] = StreamingDistribution.from_dict(data["dists"][name])
         rollup.option_use = {
@@ -542,7 +568,7 @@ class MetricsRollup:
         return (
             self.runs == other.runs
             and self.counters == other.counters
-            and self.sums == other.sums
+            and self._sums == other._sums
             and self.dists == other.dists
             and self.option_use == other.option_use
         )

@@ -46,6 +46,13 @@ class TestSmoke:
         assert len(result.rows) == 12  # 3 envs x 4 systems
         assert all("reported / ideal %" in row for row in result.rows)
 
+    def test_fig9_with_no_ideal_reports(self):
+        # At 4 events seed 4 the infinite-memory baseline reports nothing
+        # in some environment; its notes must not divide by that zero.
+        result = figures.fig9_vs_nonadaptive(n_events=4, seeds=(4,))
+        assert any(row["reported / ideal %"] == 0.0 for row in result.rows)
+        assert any("0% of the infinite-memory baseline" in n for n in result.notes)
+
     def test_fig10(self):
         result = figures.fig10_vs_prior_work(**TINY)
         assert len(result.rows) == 12

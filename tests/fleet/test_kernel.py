@@ -225,3 +225,102 @@ class TestTraceStoreBacked:
         assert stats.attach_s > 0.0
         assert stats.attach_s <= stats.lane_build_s
         assert "store attach" in stats.render()
+
+
+def baseline_spec(devices: int) -> FleetSpec:
+    return FleetSpec(name="residency", devices=devices, seed=5, n_events=4,
+                     policies=("NA", "AD", "TH50", "CN", "PZO", "PZI"))
+
+
+def one_batch_of_lanes(spec, store=None):
+    """The widest batch of ``spec``'s lanes, built as a shard builds them."""
+    from repro.fleet import kernel
+
+    kinds = kernel._vector_kernel_policies(standard_policies())
+    lanes, _, _ = kernel._build_lanes(spec, range(spec.devices), kinds, store)
+    return max(kernel._lane_groups(lanes), key=len)
+
+
+class TestTraceResidency:
+    """The batch tables are each lane's only trace copy, and nothing keeps
+    them, the store's mappings or the draw buffers alive past the shard."""
+
+    def test_tables_die_when_the_shard_returns(self, monkeypatch):
+        import gc
+        import weakref
+
+        from repro.fleet import kernel
+
+        monkeypatch.setattr(kernel, "_MIGRATE_LANES", 8)
+        refs = []
+        real_run = kernel._VectorBatch.run
+
+        def spy(batch):
+            refs.extend(weakref.ref(table) for table in (
+                batch.powers, batch.cum, batch.cap_chunk, batch.cls_chunk))
+            return real_run(batch)
+
+        monkeypatch.setattr(kernel._VectorBatch, "run", spy)
+        spec = baseline_spec(40)
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            stats = kernel.KernelStats()
+            vector_shard_outcomes(spec, range(spec.devices), stats=stats)
+            assert stats.migrated_lanes > 0
+            assert refs and all(ref() is None for ref in refs)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    def test_batch_init_releases_every_store_mapping(self, tmp_path):
+        import numpy as np
+
+        from repro.fleet import kernel
+        from repro.trace.store import TraceStore
+
+        spec = baseline_spec(24)
+        store = TraceStore.create(tmp_path / "store")
+        store.build_for_spec(spec)
+        lanes = one_batch_of_lanes(spec, store)
+        assert len(store._maps) > 0  # the lanes hold store attachments
+        batch = kernel._VectorBatch(lanes, standard_policies())
+        assert len(store._maps) == 0
+        for lane in lanes:
+            assert np.shares_memory(lane.trace._powers, batch.powers)
+            assert np.shares_memory(lane.trace._cum_energy, batch.cum)
+
+    def test_migrated_lanes_leave_the_tables(self, monkeypatch):
+        import numpy as np
+
+        from repro.fleet import kernel
+
+        monkeypatch.setattr(kernel, "_MIGRATE_LANES", 8)
+        lanes = one_batch_of_lanes(baseline_spec(40))
+        batch = kernel._VectorBatch(lanes, standard_policies())
+        powers, cum = batch.powers, batch.cum
+        batch.run()
+        migrated = {id(lane) for _, (lane, _) in batch._resume}
+        assert migrated
+        for lane in lanes:
+            trace = lane.trace
+            shared = (np.shares_memory(trace._powers, powers)
+                      or np.shares_memory(trace._cum_energy, cum))
+            assert shared == (id(lane) not in migrated)
+
+    def test_capture_chunking_never_changes_results(self, monkeypatch):
+        from repro.fleet import kernel
+
+        spec = baseline_spec(200)
+        outcomes = {}
+        for chunk in (7, 256, 1024):
+            monkeypatch.setattr(kernel, "_CAP_CHUNK", chunk)
+            stats = kernel.KernelStats()
+            outcomes[chunk] = vector_shard_outcomes(
+                spec, range(spec.devices), stats=stats
+            )
+            assert stats.migrated_lanes > 0
+        for device in range(spec.devices):
+            expected = dataclasses.asdict(outcomes[256][device])
+            assert dataclasses.asdict(outcomes[7][device]) == expected
+            assert dataclasses.asdict(outcomes[1024][device]) == expected

@@ -139,7 +139,26 @@ class TestCheckpointResume:
         assert resumed.computed_shards == 1
         assert resumed.rollup == straight.rollup
 
-    @pytest.mark.parametrize("payload", [b"\xff\xfe\x00", b"[1]"],
+    @pytest.mark.parametrize("pair", [[1, 3], [1, 2 ** 1075], [1, 0]],
+                             ids=["not-dyadic", "over-scale", "zero"])
+    def test_corrupt_sum_pair_is_recomputed(self, tmp_path, pair):
+        spec = small_spec()
+        ckpt = str(tmp_path / "journal")
+        straight = run_fleet(spec, shards=3, jobs=1, checkpoint=ckpt)
+
+        victim = os.path.join(ckpt, "shard-000001.json")
+        with open(victim) as handle:
+            data = json.load(handle)
+        data["rollup"]["overall"]["sums"]["sim_end_s"] = pair
+        with open(victim, "w") as handle:
+            json.dump(data, handle)
+
+        resumed = run_fleet(spec, shards=3, jobs=1, checkpoint=ckpt, resume=True)
+        assert resumed.resumed_shards == 2
+        assert resumed.computed_shards == 1
+        assert resumed.rollup == straight.rollup
+
+    @pytest.mark.parametrize("payload",[b"\xff\xfe\x00", b"[1]"],
                              ids=["non-utf8", "non-object"])
     def test_unreadable_manifest_refuses_resume(self, tmp_path, payload):
         ckpt = str(tmp_path / "journal")

@@ -1,8 +1,17 @@
-"""Tests for the RunMetrics derived quantities."""
+"""Tests for the RunMetrics derived quantities and the exact rollups."""
+
+import hashlib
+import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from repro.sim.metrics import RunMetrics
+from repro.sim.metrics import MetricsRollup, RunMetrics, StreamingDistribution
+
+#: Any finite double, including negatives, zeros, subnormals and huge values.
+DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestDerived:
@@ -220,3 +229,88 @@ class TestMetricsRollup:
         assert summary["runs"] == 1
         assert "discarded_fraction_mean" in summary
         assert "discarded_fraction_p99" in summary
+
+
+def rollup_of(values) -> MetricsRollup:
+    rollup = MetricsRollup()
+    for value in values:
+        m = RunMetrics()
+        m.prediction_error_s = value
+        m.energy_harvested_j = abs(value)
+        rollup.observe(m)
+    return rollup
+
+
+class TestExactSums:
+    """The scaled-int accumulators equal exact Fraction sums."""
+
+    @given(st.lists(DOUBLES, max_size=30))
+    @example([5e-324, -5e-324, 0.0, -0.0, 1.7976931348623157e308, -1e-310])
+    def test_rollup_sums_equal_fraction_sums(self, values):
+        sums = rollup_of(values).sums
+        assert sums["prediction_error_s"] == sum(map(Fraction, values), Fraction(0))
+        assert sums["energy_harvested_j"] == sum(
+            (abs(Fraction(v)) for v in values), Fraction(0)
+        )
+
+    @given(st.lists(st.floats(0.0, 1.0), max_size=30))
+    @example([5e-324, 0.0, -0.0, 1.0, 2.2250738585072014e-308])
+    def test_distribution_sums_equal_fraction_sums(self, values):
+        dist = StreamingDistribution()
+        for value in values:
+            dist.observe(value)
+        exact = [Fraction(v) for v in values]
+        assert dist.total == sum(exact, Fraction(0))
+        assert dist.total_sq == sum((v * v for v in exact), Fraction(0))
+        assert StreamingDistribution.from_dict(dist.to_dict()) == dist
+
+    @given(st.lists(DOUBLES, max_size=10), st.lists(DOUBLES, max_size=10),
+           st.lists(DOUBLES, max_size=10))
+    def test_merge_is_associative(self, a, b, c):
+        left = rollup_of(a)
+        left.merge(rollup_of(b))
+        left.merge(rollup_of(c))
+        right = rollup_of(b)
+        right.merge(rollup_of(c))
+        grouped = rollup_of(a)
+        grouped.merge(right)
+        serial = rollup_of(a + b + c)
+        assert left == grouped == serial
+        assert left.to_dict() == grouped.to_dict() == serial.to_dict()
+        assert MetricsRollup.from_dict(serial.to_dict()) == serial
+
+    def test_to_dict_bytes_unchanged_for_a_fixed_fold(self):
+        # The digest was recorded from the Fraction-accumulator rollup.
+        rollup = MetricsRollup()
+        values = (0.1, -2.5e-7, 5e-324, 0.0, 1e300, -1e-310, 3.0, 2.0 / 3.0)
+        for k, v in enumerate(values):
+            m = RunMetrics()
+            m.captures_interesting = 10
+            m.ibo_drops_interesting = k % 4
+            m.false_negatives = k % 3
+            m.packets_interesting_high = 7 - k % 4
+            m.sim_end_s = 3600.0 + v
+            m.energy_harvested_j = abs(v)
+            m.prediction_error_s = v
+            m.policy_time_s = v / 3.0
+            rollup.observe(m)
+        text = json.dumps(rollup.to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "14e90738232c885ebd82e68c97f661f5d841b02cb41de700549f71691190b926"
+        )
+
+    @pytest.mark.parametrize("pair, sq_pair", [
+        ([1, 3], [1, 3]),
+        ([1, 2 ** 1075], [1, 2 ** 2149]),  # finer than any double allows
+        ([1, 0], [1, 0]),
+        ([1, -2], [1, -2]),
+    ])
+    def test_from_dict_rejects_impossible_sums(self, pair, sq_pair):
+        data = rollup_of([0.5]).to_dict()
+        data["sums"]["prediction_error_s"] = pair
+        with pytest.raises(ValueError):
+            MetricsRollup.from_dict(data)
+        data = rollup_of([0.5]).to_dict()
+        data["dists"]["hq_fraction"]["total_sq"] = sq_pair
+        with pytest.raises(ValueError):
+            MetricsRollup.from_dict(data)
