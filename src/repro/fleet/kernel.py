@@ -22,8 +22,9 @@ CTRL step (the engine's loop head, where no job is in flight) its state
 moves onto a fresh :class:`~repro.sim.engine.SimulationEngine`
 (``SimulationEngine.resume_at``), which finishes the run from there.
 
-The contract is the same one ``tests/sim/test_fast_paths.py`` pins for the
-scalar engine's fast paths: **bit-identical** :class:`RunMetrics`, not
+The contract is the one ``tests/fleet/test_kernel_parity.py`` pins against
+the scalar engine, whose own results ``tests/sim/test_golden_runs.py`` holds
+to committed digests: **bit-identical** :class:`RunMetrics`, not
 approximately equal.  Three facts make that reachable:
 
 * elementwise numpy float64 arithmetic is IEEE-identical to the equivalent
@@ -221,7 +222,6 @@ def _policy_kind(factory) -> tuple[int, float | None] | None:
         or cls.on_capture is not base.on_capture
         or cls.on_job_complete is not base.on_job_complete
         or cls.invocation_cost is not base.invocation_cost
-        or cls.configure_decision_path is not base.configure_decision_path
         or hasattr(policy, "decision_stats")
     ):
         return None
@@ -1173,7 +1173,7 @@ class _VectorBatch:
         self._block_top(lanes)
 
     def _block_top(self, lanes) -> None:
-        """_run_block loop head: done / recharge-first / advance."""
+        """Run-block loop head: done / recharge-first / advance."""
         done = self.blk_rem[lanes] <= TIME_EPSILON
         if done.any():
             self._task_done(lanes[done])
@@ -1318,11 +1318,12 @@ class _VectorBatch:
                 t_depleted = now + margin / net
                 depleting = stop & (t_depleted < boundary - TIME_EPSILON)
                 boundary = np.where(depleting, t_depleted, boundary)
-        # _account_span / Supercapacitor.draw / .harvest, fused.  With
-        # dtz = 0 every update below is an identity (consumed/harvested
-        # add 0, stored clamps to 0, max(energy, 0) == energy), which is
-        # exactly the engine's "skip accounting when dt <= 0" — but the
-        # clock still moves to the boundary unconditionally, as it must.
+        # The engine's span accounting (Supercapacitor.draw / .harvest
+        # arithmetic), fused.  With dtz = 0 every update below is an
+        # identity (consumed/harvested add 0, stored clamps to 0,
+        # max(energy, 0) == energy), which is exactly the engine's "skip
+        # accounting when dt <= 0" — but the clock still moves to the
+        # boundary unconditionally, as it must.
         dt = boundary - now
         dtz = np.maximum(dt, 0.0)
         draining = net >= 0.0
@@ -1384,7 +1385,7 @@ class _VectorBatch:
         cnt = np.bincount(cont, minlength=4)
         if cnt[_C_TASK]:
             task = lanes[cont == _C_TASK]
-            # _run_block: remaining -= now - start, then maybe a failure.
+            # Run-block loop: remaining -= now - start, then maybe a failure.
             self.blk_rem[task] = self.blk_rem[task] - (
                 self.now[task] - self.blk_start[task]
             )

@@ -89,10 +89,9 @@ class RunMetrics:
     # Work counters from the policy's cached decision path (see
     # repro.sim.telemetry.DecisionPathStats).  These measure implementation
     # effort, not simulated behaviour: they are the one part of RunMetrics
-    # deliberately EXCLUDED from the fast-vs-reference bit-identical
-    # contract (tests/sim/test_fast_paths.py strips them), and they stay
-    # zero whenever the cached path is disabled (fast_paths=False) or the
-    # policy has no decision cache.
+    # deliberately EXCLUDED from the golden digests
+    # (tests/sim/test_golden_runs.py strips them), and they stay zero when
+    # the policy has no decision cache.
     decision_cache_hits: int = 0
     decision_cache_misses: int = 0
     decision_scored_candidates: int = 0

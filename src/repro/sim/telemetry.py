@@ -31,18 +31,18 @@ __all__ = [
 class DecisionPathStats:
     """Work counters for the scheduler's cached decision path.
 
-    Maintained by :class:`~repro.core.runtime.QuetzalRuntime` when its fast
-    decision path is enabled (mirroring ``SimulationConfig(fast_paths=...)``)
-    as the runtime's live ``decision_stats`` and surfaced through
+    Maintained by :class:`~repro.core.runtime.QuetzalRuntime` as its live
+    ``decision_stats`` and surfaced through
     :class:`~repro.sim.metrics.RunMetrics`.  These count *implementation
-    work*, not simulated behaviour: a run with a 99% cache-hit rate and one
-    with caching disabled produce bit-identical simulation results — these
-    counters are how the difference in decision cost is observed.
+    work*, not simulated behaviour: the simulation results are those of
+    the stateless decision procedure whatever the cache-hit rate (the
+    golden ``RunMetrics`` digests leave these counters out), and the
+    counters are how the decision cost is observed.
 
     Attributes
     ----------
     decisions:
-        Scheduling decisions made (Alg. 1 invocations on the fast path).
+        Scheduling decisions made (Alg. 1 invocations).
     scored_candidates:
         Candidate jobs scored across all decisions; each candidate is
         scored exactly once per decision, so this is the Σ of per-decision

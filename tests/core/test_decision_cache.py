@@ -1,9 +1,10 @@
-"""Edge cases of the cached decision path (runtime fast vs reference).
+"""Edge cases of the cached decision path, against a stateless oracle.
 
 The component-level edge cases (PID ``dt_s <= 0``, Little's-Law zero
 rate / unbounded buffer, Alg. 2's fastest-option fallback) each have unit
-tests against the reference implementations; this module pins the *cached*
-decision path to the same behaviour at exactly those corners, where a
+tests against the stateless components; this module pins the runtime's
+*cached* decision path to :func:`reference_select` — Alg. 1 over the
+stateless :class:`IBOEngine`'s Alg. 2 — at exactly those corners, where a
 stale or mis-keyed score table would be most likely to diverge:
 
 * λ = 0 (empty arrival window) with free space, and with a full buffer
@@ -13,29 +14,75 @@ stale or mis-keyed score table would be most likely to diverge:
   the predicted overflow;
 * probability/PID churn between decisions (epoch invalidation).
 
-Both runtimes share one ``JobSet`` so Decision equality is exact —
-identical option objects, bit-identical floats.
+The runtime and the oracle share one ``JobSet`` so Decision equality is
+exact — identical option objects, bit-identical floats.
 """
 
 import pytest
 
+from repro.core.ibo import IBOEngine
 from repro.core.pid import PIDController
 from repro.core.runtime import QuetzalRuntime
 from repro.core.scheduler import JobCandidate
 from repro.device.buffer import BufferedInput
 from repro.errors import ConfigurationError
-from repro.policies.base import SchedulingContext
+from repro.policies.base import Decision, SchedulingContext
 from repro.workload.pipelines import DETECT_JOB, ML_TASK, build_apollo_app
 
 APP = build_apollo_app()
 JOBS = APP.jobs
 
 
-def make_runtime(fast: bool) -> QuetzalRuntime:
+def make_runtime() -> QuetzalRuntime:
     runtime = QuetzalRuntime()
-    runtime.configure_decision_path(fast)
     runtime.prepare(JOBS, capture_period_s=1.0)
     return runtime
+
+
+def reference_select(runtime: QuetzalRuntime, ctx: SchedulingContext) -> Decision:
+    """One uncached decision over ``runtime``'s live state (the oracle).
+
+    Every candidate is scored by the stateless ``IBOEngine().decide`` from
+    the runtime's estimator, trackers and PID correction, and the runtime's
+    scheduler picks on those scores.  Reads the runtime's state and
+    touches none of its caches or counters (``begin_cycle`` re-measures
+    the same power the cached path measures).
+    """
+    # One input-power measurement per invocation (Alg. 1 line 1).
+    runtime.estimator.begin_cycle(ctx.true_input_power_w)
+    correction = runtime.pid.output if runtime.pid is not None else 0.0
+    arrival_rate = runtime._arrivals.rate()
+    ibo_engine = IBOEngine()
+    ibo_by_job = {}
+
+    def ibo_for(candidate):
+        cached = ibo_by_job.get(candidate.job.name)
+        if cached is None:
+            cached = ibo_engine.decide(
+                candidate.job,
+                arrival_rate=arrival_rate,
+                buffer_occupancy=ctx.buffer_occupancy,
+                buffer_limit=ctx.buffer_limit,
+                service_time_fn=runtime.estimator.service_time,
+                probability_fn=runtime._probabilities.probability,
+                correction_s=correction,
+            )
+            ibo_by_job[candidate.job.name] = cached
+        return cached
+
+    def scorer(candidate):
+        return ibo_for(candidate).predicted_service_s
+
+    selection = runtime.scheduler.select(ctx.candidates, scorer)
+    ibo = ibo_for(selection.candidate)
+    return Decision(
+        job_name=selection.job.name,
+        entry=selection.entry,
+        chosen_options={selection.job.degradable_task.name: ibo.option},
+        predicted_service_s=ibo.predicted_service_s,
+        ibo_predicted=ibo.ibo_predicted,
+        degraded=ibo.degraded,
+    )
 
 
 def detect_context(
@@ -65,9 +112,9 @@ def detect_context(
 
 
 def select_both(**context_kwargs):
-    """The same single decision on a fast and a reference runtime."""
+    """The same single decision, cached and by the oracle."""
     ctx = detect_context(**context_kwargs)
-    return [make_runtime(fast).select(ctx) for fast in (True, False)]
+    return [make_runtime().select(ctx), reference_select(make_runtime(), ctx)]
 
 
 class TestZeroArrivalRate:
@@ -82,7 +129,7 @@ class TestZeroArrivalRate:
     def test_full_buffer_still_predicts_overflow(self):
         # growth = 0 >= free = 0: detection fires even with no arrivals,
         # and since *no* option can beat zero free space the walk falls
-        # back to the fastest option — on both paths.
+        # back to the fastest option — cached and by the oracle.
         fast, reference = select_both(occupancy=8, limit=8)
         assert fast == reference
         assert fast.ibo_predicted is True
@@ -99,7 +146,7 @@ class TestUnboundedBuffer:
 
 class TestFastestOptionFallback:
     def test_walk_falls_back_to_fastest(self):
-        """When nothing avoids the IBO, both paths pick min-S_e2e."""
+        """When nothing avoids the IBO, cache and oracle pick min-S_e2e."""
         ml_task = JOBS.job(DETECT_JOB).degradable_task
         for decision in select_both(occupancy=8, limit=8):
             chosen = decision.chosen_options[ML_TASK]
@@ -108,7 +155,7 @@ class TestFastestOptionFallback:
             assert decision.ibo_predicted is True
 
     def test_fallback_counts_a_degradation_walk(self):
-        runtime = make_runtime(fast=True)
+        runtime = make_runtime()
         runtime.select(detect_context(occupancy=8, limit=8))
         stats = runtime.decision_stats
         assert stats.degradation_walks == 1
@@ -121,21 +168,20 @@ class TestCacheChurn:
     """State changes between decisions must invalidate, not stale-hit."""
 
     def test_power_token_change_matches_reference(self):
-        fast_rt, ref_rt = make_runtime(True), make_runtime(False)
+        runtime = make_runtime()
         for power in (0.01, 0.15, 0.01, 0.08, 0.15):
             ctx = detect_context(power_w=power)
-            assert fast_rt.select(ctx) == ref_rt.select(ctx)
+            assert runtime.select(ctx) == reference_select(runtime, ctx)
 
     def test_arrival_window_change_matches_reference(self):
-        fast_rt, ref_rt = make_runtime(True), make_runtime(False)
+        runtime = make_runtime()
         for i, stored in enumerate([True, True, False, True]):
-            fast_rt.on_capture(float(i), stored)
-            ref_rt.on_capture(float(i), stored)
+            runtime.on_capture(float(i), stored)
             ctx = detect_context(now_s=float(i) + 0.5)
-            assert fast_rt.select(ctx) == ref_rt.select(ctx)
+            assert runtime.select(ctx) == reference_select(runtime, ctx)
 
     def test_repeat_decision_hits_cache(self):
-        runtime = make_runtime(fast=True)
+        runtime = make_runtime()
         ctx = detect_context()
         first = runtime.select(ctx)
         second = runtime.select(ctx)
@@ -153,52 +199,34 @@ class TestPIDEdges:
 
     def test_simultaneous_completions_use_floored_dt(self):
         """Two completions at the same timestamp must not feed dt=0 into
-        the PID (the runtime floors dt at 1 µs on both paths)."""
+        the PID (the runtime floors dt at 1 µs)."""
         from repro.policies.base import CompletionRecord
         from repro.workload.pipelines import JobOutcome
 
-        for fast in (True, False):
-            runtime = make_runtime(fast)
-            decision = runtime.select(detect_context())
-            record = CompletionRecord(
-                decision=decision,
-                started_s=10.0,
-                finished_s=12.5,
-                executed_by_task={ML_TASK: True},
-                outcome=JobOutcome(remove_input=True, classified_positive=False),
-            )
-            runtime.on_job_complete(record)
-            runtime.on_job_complete(record)  # same finished_s: dt would be 0
-            assert runtime.pid.output == runtime.pid.output  # finite, no raise
+        runtime = make_runtime()
+        decision = runtime.select(detect_context())
+        record = CompletionRecord(
+            decision=decision,
+            started_s=10.0,
+            finished_s=12.5,
+            executed_by_task={ML_TASK: True},
+            outcome=JobOutcome(remove_input=True, classified_positive=False),
+        )
+        runtime.on_job_complete(record)
+        runtime.on_job_complete(record)  # same finished_s: dt would be 0
+        assert runtime.pid.output == runtime.pid.output  # finite, no raise
 
 
 class TestSelectBinding:
-    """configure_decision_path() swaps the live select() implementation."""
+    """prepare() binds the live select() to the cached path."""
 
     def test_fast_instance_binds_select(self):
-        runtime = make_runtime(fast=True)
+        runtime = make_runtime()
         assert "select" in runtime.__dict__
         assert runtime.select.__func__ is QuetzalRuntime._select_fast
 
-    def test_reference_instance_keeps_class_select(self):
-        runtime = make_runtime(fast=False)
+    def test_unprepared_instance_raises(self):
+        runtime = QuetzalRuntime()
         assert "select" not in runtime.__dict__
-        runtime.select(detect_context())
-        for field in (
-            "cache_hits",
-            "cache_misses",
-            "scored_candidates",
-            "score_table_rebuilds",
-        ):
-            assert getattr(runtime.decision_stats, field) == 0, field
-
-    def test_toggling_back_and_forth(self):
-        runtime = make_runtime(fast=True)
-        ctx = detect_context()
-        fast_decision = runtime.select(ctx)
-        runtime.configure_decision_path(False)
-        assert "select" not in runtime.__dict__
-        reference_decision = runtime.select(ctx)
-        runtime.configure_decision_path(True)
-        assert "select" in runtime.__dict__
-        assert fast_decision == reference_decision
+        with pytest.raises(ConfigurationError):
+            runtime.select(detect_context())

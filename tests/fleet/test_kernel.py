@@ -2,8 +2,8 @@
 
 Every check here is an *equality* check, not a tolerance check — the
 kernel promises bit-identical :class:`RunMetrics` for every device it
-vectorizes (the same contract ``tests/sim/test_fast_paths.py`` pins for
-the scalar engine's own fast paths), and scalar-engine fallback for
+vectorizes (the scalar engine's own results are pinned by the digests in
+``tests/sim/test_golden_runs.py``), and scalar-engine fallback for
 everything else, so the fleet rollup is kernel-invariant byte for byte.
 """
 

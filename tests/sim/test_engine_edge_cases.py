@@ -5,10 +5,11 @@ import pytest
 from repro.core.runtime import QuetzalRuntime
 from repro.device.buffer import BufferedInput
 from repro.env.events import Event, EventSchedule
-from repro.errors import SchedulingError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.policies.base import Decision, Policy, SchedulingContext
 from repro.policies.noadapt import NoAdaptPolicy
 from repro.sim.engine import SimulationConfig, SimulationEngine, simulate
+from repro.trace.power_trace import PowerTrace
 from repro.workload.pipelines import build_apollo_app
 
 
@@ -18,6 +19,30 @@ def one_event(duration=20.0, diff=1.0, background=0.0):
         diff_probability=diff,
         background_diff_probability=background,
     )
+
+
+class _ConstantPowerTrace(PowerTrace):
+    """A complete PowerTrace that is not a PiecewiseConstantTrace."""
+
+    def power(self, t):
+        return 0.05
+
+    def integrate(self, t0, t1):
+        return 0.05 * (t1 - t0)
+
+    def next_boundary(self, t):
+        return float("inf")
+
+    def time_to_harvest(self, t0, energy):
+        return energy / 0.05
+
+
+class TestTraceType:
+    def test_non_piecewise_trace_rejected_at_construction(self, apollo_app):
+        with pytest.raises(ConfigurationError, match="PiecewiseConstantTrace"):
+            SimulationEngine(
+                apollo_app, NoAdaptPolicy(), _ConstantPowerTrace(), one_event()
+            )
 
 
 class TestCapturePeriods:

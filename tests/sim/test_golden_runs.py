@@ -5,30 +5,52 @@ the three sensing environments on both MCU profiles at 10 events.  Each
 run is reduced to the sha256 of canonical JSON over
 ``dataclasses.asdict(RunMetrics)``, less the five decision-path work
 counters (they describe implementation effort, not simulated behaviour;
-``test_fast_paths.py`` strips the same fields).  A one-ulp change
+``test_fast_paths.py`` pins them instead).  A one-ulp change
 anywhere in storage, buffer, scheduling or metrics code moves a digest.
 
 The same digests must come out when the inputs are attached from a
 :class:`~repro.trace.store.TraceStore` instead of generated, and when a
 trace sink observes the run.
+
+A second matrix pins the scalar engine on a 40-event CROWDED schedule:
+every policy family, cost jitter, the unbounded Ideal buffer, a dense
+sub-second trace, and two traces without a positive-energy period (an
+aperiodic replay of the solar arrays and one whose power drops to zero
+for good, starving the device to the hard end).  Those last two are the
+only pinned runs that take the general recharge loop and call
+``Supercapacitor.harvest``.  Each digest was recorded from both the
+engine's cached hot paths and its since-deleted stateless reference
+implementation, which agreed on every run, so the digests are the
+reference's own results.  ``test_fast_paths.py`` checks the first twelve;
+this module checks the four general-recharge runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from repro.core.runtime import QuetzalRuntime
 from repro.device.mcu import APOLLO4, MSP430FR5994
 from repro.env.activity import CROWDED, LESS_CROWDED, MORE_CROWDED
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments.harness import standard_policies
 from repro.obs import RingBufferTracer
-from repro.sim.engine import SimulationEngine
+from repro.policies.always_degrade import AlwaysDegradePolicy
+from repro.policies.buffer_threshold import BufferThresholdPolicy, catnap_policy
+from repro.policies.noadapt import NoAdaptPolicy
+from repro.policies.power_threshold import PowerThresholdPolicy
+from repro.sim.engine import SimulationConfig, SimulationEngine, simulate
 from repro.sim.telemetry import TelemetryRecorder
+from repro.trace.power_trace import PiecewiseConstantTrace
+from repro.trace.solar import SolarTraceConfig, SolarTraceGenerator
 from repro.trace.store import TraceStore
+from repro.workload.pipelines import build_apollo_app
 
 N_EVENTS = 10
 
@@ -211,3 +233,109 @@ def test_observed_runs(sink, generated):
             config_for(env, mcu), policy, trace, schedule, tracer=sink()
         )
     assert got == {key: GOLDEN[key] for key in got}
+
+
+# -- the 40-event fixture matrix ----------------------------------------------
+
+FIXTURE_POLICIES = {
+    "noadapt": NoAdaptPolicy,
+    "quetzal": QuetzalRuntime,
+    "catnap": catnap_policy,
+    "buffer-threshold": lambda: BufferThresholdPolicy(0.5),
+    "power-threshold": lambda: PowerThresholdPolicy(0.05),
+    "always-degrade": AlwaysDegradePolicy,
+}
+
+#: "policy[/variant]" -> digest of a seed-5 run on the seed-2 CROWDED
+#: 40-event schedule, recorded with fast and reference paths agreeing.
+FIXTURE_GOLDEN = {
+    "always-degrade": "141d41ced80ee0f98d562a7d473aac545c71ed06d164815ef7010def26094716",
+    "buffer-threshold": "46d26025653c7176b3646a56b55f13a2811522114e9466c3acfdc223b8d720f6",
+    "catnap": "94cd5fcc55cf703bbfa217baeb3b195f6ed8fb8c6a6bed64220fbdf0f81a2660",
+    "noadapt": "71f51bb724c8a0ac4ea2575329a7e8001adfceae45475e70dc27a75efb644c0f",
+    "power-threshold": "0090d101575ccd17e90cd0be2562855da2146ab889a096ddb418f16f13268665",
+    "quetzal": "c5b0fd3b06ccc43f44671928ec77e6567639711070847d73ecc84848b290da33",
+    "noadapt/jitter-0.2": "cd2c1b3323e172aa97ac01cc54e2e5bcc4002feaf27591a2f8e0b59756d62fcb",
+    "noadapt/jitter-0.7": "b5d2ed0363020111f15f24e872746fff4ece919ee9ddd273c06c2f6ac671e432",
+    "quetzal/jitter-0.2": "33947878ec166934af6318d1beb8047a9ded84a884198e0f14aa2e8591a721d4",
+    "quetzal/jitter-0.7": "abcea596ea6a44f437ec468e3311623aa60b1241ff83129ec060737e61d2f459",
+    "quetzal/unbounded": "7b867aecb32abcf05b41cf655784612f5509aacb801601e4ec2f60226e30a2cc",
+    "noadapt/dense": "8e8ae82d73e50d1bbdf8dad993ef7742dcf406844768409c86b10aaac99bf36b",
+    "noadapt/aperiodic": "eee816ba3dce8995ca8c6d997c34268ef1302d737312515598ec4e6b018f58bc",
+    "quetzal/aperiodic": "a27d4197218163e2f2a57324edf201e920ab1bc5349ebfa70ecc898eaa48df0a",
+    "noadapt/starved": "d857954c8b4f999c607826e737b21c17412fabc64bd2e667866dcd6b388d3901",
+    "quetzal/starved": "40591daf41fea4978a2f3848cd9f0fefd9da62d71ee4362e0d8d37c589ee87d2",
+}
+
+#: Seconds of solar power the starved trace keeps before dropping to zero.
+STARVE_AFTER_S = 1200
+
+#: Runs that take the general recharge loop (no positive-energy period).
+GENERAL_RECHARGE_KEYS = (
+    "noadapt/aperiodic",
+    "quetzal/aperiodic",
+    "noadapt/starved",
+    "quetzal/starved",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def fixture_trace(name: str) -> PiecewiseConstantTrace:
+    if name == "dense":
+        config = SolarTraceConfig(sample_period_s=0.05)
+        return SolarTraceGenerator(config, seed=1).generate()
+    solar = SolarTraceGenerator(seed=1).generate()
+    times, powers = solar._times, solar._powers
+    if name == "aperiodic":
+        # No period: past the last sample its power holds forever.
+        return PiecewiseConstantTrace(times, powers, period=None)
+    if name == "starved":
+        return PiecewiseConstantTrace(
+            np.append(times[:STARVE_AFTER_S], float(STARVE_AFTER_S)),
+            np.append(powers[:STARVE_AFTER_S], 0.0),
+            period=None,
+        )
+    return solar
+
+
+def fixture_cases():
+    """"policy[/variant]" -> (policy, trace name, SimulationConfig kwargs)."""
+    cases = {name: (name, "solar", {}) for name in FIXTURE_POLICIES}
+    for name in ("noadapt", "quetzal"):
+        for sigma in (0.2, 0.7):
+            cases[f"{name}/jitter-{sigma}"] = (
+                name, "solar", {"cost_jitter_sigma": sigma}
+            )
+        for trace in ("aperiodic", "starved"):
+            cases[f"{name}/{trace}"] = (name, trace, {})
+    cases["quetzal/unbounded"] = ("quetzal", "solar", {"buffer_capacity": None})
+    cases["noadapt/dense"] = ("noadapt", "dense", {})
+    return cases
+
+
+def run_fixture(key: str):
+    """The fixture-matrix run ``key``; returns its RunMetrics."""
+    policy, trace, config_kwargs = fixture_cases()[key]
+    return simulate(
+        build_apollo_app(),
+        FIXTURE_POLICIES[policy](),
+        fixture_trace(trace),
+        CROWDED.schedule(40, seed=2),
+        config=SimulationConfig(seed=5, **config_kwargs),
+    )
+
+
+def test_fixture_matrix_is_complete():
+    assert sorted(FIXTURE_GOLDEN) == sorted(fixture_cases())
+
+
+@pytest.mark.parametrize("key", GENERAL_RECHARGE_KEYS)
+def test_general_recharge_runs(key):
+    """Traces without a positive-energy period: the general recharge loop
+    and ``Supercapacitor.harvest`` are pinned; a starved device idles to
+    the hard end."""
+    metrics = run_fixture(key)
+    if key.endswith("/starved"):
+        hard_end = CROWDED.schedule(40, seed=2).end_time + 3600.0
+        assert metrics.sim_end_s == hard_end
+    assert digest(metrics) == FIXTURE_GOLDEN[key]

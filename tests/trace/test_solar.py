@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.env.activity import CROWDED, LESS_CROWDED, MORE_CROWDED
 from repro.errors import TraceError
 from repro.trace.solar import SolarTraceConfig, SolarTraceGenerator
 
@@ -31,6 +32,21 @@ GOLDEN_DIGESTS = {
     (10, 1, 3): "56d4fc5b0c071b0c35cfb2b29a4313449c41122b213223cafa6c789bde9112c3",
     (10, 12345, 1): "81da73aac6626ec756a25b278a7ac49576c61df85b1a8aca9ecbaa9630de1863",
     (10, 12345, 3): "f1341967d3fb8a89befc1da9e6816418a19c86d6981cb4be1ef74bb858173938",
+}
+
+ENVIRONMENTS = {"less": LESS_CROWDED, "crowded": CROWDED, "more": MORE_CROWDED}
+
+#: sha256 over the bytes of a 40-event schedule's (starts, durations,
+#: interesting) columns and its two differencing probabilities, keyed by
+#: (environment, seed).  The solar trace's companion input: every run
+#: replays one of each.
+SCHEDULE_DIGESTS = {
+    ("less", 0): "5b8ff0e5fc648e39e25651f22c18ac1fdc70b17407c84aa62dd6bcfd67bc7461",
+    ("less", 1): "b973edc8de8e1a7932a97dc014838f61715a3de72a5cdfa5919a948a19edf6a5",
+    ("crowded", 0): "f6dee5691574c482f12edaf8915028d771b3a98f8d5ea0f7e8e3300265f8721f",
+    ("crowded", 1): "4e098258afef0bee26e8a52de298462688d327aa3cc1286b6cafe3126a7af267",
+    ("more", 0): "7a2af8d28180e05b99850b9ecb08243897781c4f740adcf6acfa285322db2837",
+    ("more", 1): "bca109b048354bbf0613f4b3cb7e698bb3395488da6168b6d0d6a450dae04ae0",
 }
 
 
@@ -148,6 +164,18 @@ class TestGoldenDigests:
             digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
         digest.update(np.float64(trace._energy_per_period).tobytes())
         assert digest.hexdigest() == GOLDEN_DIGESTS[(cells, seed, days)]
+
+    @pytest.mark.parametrize("env,seed", sorted(SCHEDULE_DIGESTS))
+    def test_event_schedule_bytes_unchanged(self, env, seed):
+        schedule = ENVIRONMENTS[env].generator.generate(40, seed=seed)
+        starts, durations, interesting = schedule.arrays()
+        digest = hashlib.sha256()
+        for array in (starts, durations):
+            digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+        digest.update(np.ascontiguousarray(interesting, dtype=np.bool_).tobytes())
+        digest.update(np.float64(schedule.diff_probability).tobytes())
+        digest.update(np.float64(schedule.background_diff_probability).tobytes())
+        assert digest.hexdigest() == SCHEDULE_DIGESTS[(env, seed)]
 
 
 def choice_cloud_factor(cfg, n, rng):
