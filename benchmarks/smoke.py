@@ -24,8 +24,10 @@ byte:
    key; its Chrome trace, JSONL events and heartbeats must schema-validate
    and its Prometheus text must parse;
 6. the fleet service: a cache miss, then a cache hit; a mutated spec must
-   miss; the watched telemetry runs start/heartbeat/end; the final stats
-   are exactly 3 submissions, 1 hit, 2 misses, 2 entries;
+   miss; the hit and a ``result`` response, read as raw lines, must each
+   equal ``protocol.encode`` of their decoding and carry the reference
+   bytes verbatim; the watched telemetry runs start/heartbeat/end; the
+   final stats are exactly 3 submissions, 1 hit, 2 misses, 2 entries;
 7. figure regeneration (``python -m repro.experiments --events 6
    --seeds 1``), each leg from an empty run memo: ``--jobs 1`` and
    ``--jobs 2`` must write byte-identical ``--json``, so memoized repeats
@@ -48,6 +50,7 @@ import io
 import json
 import os
 import resource
+import socket
 import sys
 import tempfile
 
@@ -57,7 +60,13 @@ from repro.fleet.__main__ import main as fleet_main
 from repro.fleet.spec import FleetSpec
 from repro.obs import validate_chrome_trace, validate_jsonl_events
 from repro.obs.heartbeat import validate_heartbeat_records
-from repro.serve import FleetClient, ServeConfig, ServerHandle, canonical_rollup_json
+from repro.serve import (
+    FleetClient,
+    ServeConfig,
+    ServerHandle,
+    canonical_rollup_json,
+    protocol,
+)
 from repro.trace.__main__ import main as trace_main
 
 SPEC = FleetSpec(devices=24, seed=3, name="smoke", n_events=5,
@@ -237,7 +246,24 @@ def smoke(out: str) -> None:
         first = client.submit(spec, shards=SHARDS, wait=True)
         if not first["ok"] or first["cached"]:
             fail(f"first submission should compute, got {first}")
-        second = client.submit(spec, shards=4, wait=True)
+        def raw(request: dict) -> bytes:
+            """One response line exactly as the server framed it."""
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=300) as sock:
+                sock.sendall(protocol.encode(
+                    {"schema_version": protocol.PROTOCOL_VERSION, **request}
+                ))
+                return sock.makefile("rb").readline()
+
+        hit_line = raw({"op": "submit", "spec": spec.to_wire(), "shards": 4,
+                        "wait": True})
+        result_line = raw({"op": "result", "spec": spec.to_wire()})
+        for line, leg in ((hit_line, "cache-hit"), (result_line, "result")):
+            if line != protocol.encode(json.loads(line)):
+                fail(f"{leg} frame is not protocol.encode of its own decoding")
+            if b'"rollup": ' + reference.encode("utf-8") + b"," not in line:
+                fail(f"{leg} frame does not carry the reference rollup bytes")
+        second = json.loads(hit_line)
         if not second["ok"] or not second["cached"]:
             fail(f"identical resubmission should hit the cache, got "
                  f"{ {k: second[k] for k in ('ok', 'state', 'cached')} }")

@@ -18,6 +18,7 @@ trace, event schedule, and classification draws) is derived
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -59,6 +60,14 @@ def shard_ranges(devices: int, shards: int) -> list[range]:
         ranges.append(range(start, start + size))
         start += size
     return ranges
+
+
+@functools.cache
+def _policy_names() -> frozenset[str]:
+    """The ``standard_policies`` names, built once (imported lazily)."""
+    from repro.experiments.harness import standard_policies
+
+    return frozenset(standard_policies())
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -117,9 +126,7 @@ class FleetSpec:
             raise ConfigurationError(f"devices must be >= 1, got {self.devices}")
         if self.n_events < 1:
             raise ConfigurationError(f"n_events must be >= 1, got {self.n_events}")
-        from repro.experiments.harness import standard_policies
-
-        known = standard_policies()
+        known = _policy_names()
         unknown = [name for name in self.policies if name not in known]
         if unknown:
             raise ConfigurationError(

@@ -31,7 +31,9 @@ recompute.  The moving parts:
 Invariant (pinned by ``tests/serve/``): the rollup bytes a client
 fetches are identical whether the result was computed fresh, resumed
 from a journal, or served from the cache — they are the fleet CLI's
-``--json`` bytes.
+``--json`` bytes.  A job holds those bytes, encoded once per result, and
+every rollup-bearing response splices them into its frame (``_frame``)
+rather than re-encoding the rollup.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class _Job:
 
     __slots__ = (
         "spec", "fingerprint", "shards", "kernel", "state", "cached",
-        "rollup", "error", "telemetry", "watchers", "done",
+        "rollup_json", "error", "telemetry", "watchers", "done",
     )
 
     def __init__(self, spec: FleetSpec, shards: int, kernel: str) -> None:
@@ -109,7 +111,7 @@ class _Job:
         self.kernel = kernel
         self.state = "queued"          # queued | running | done | failed
         self.cached = False
-        self.rollup: dict | None = None
+        self.rollup_json: bytes | None = None  # canonical rollup bytes
         self.error: str | None = None
         self.telemetry: list[str] = []  # raw heartbeat JSONL lines, in order
         self.watchers: set[asyncio.Queue] = set()
@@ -123,6 +125,16 @@ class _Job:
             "cached": self.cached,
             "shards": self.shards,
         }
+
+
+def _frame(message: dict, rollup_json: bytes | None) -> bytes:
+    """``protocol.encode`` of ``message`` plus a ``rollup`` key, splicing
+    in its canonical bytes.  JSON escapes every quote inside a string, so
+    the placeholder ``"rollup": null`` can only match the key itself."""
+    if rollup_json is None:
+        return protocol.encode(message)
+    frame = protocol.encode({**message, "rollup": None})
+    return frame.replace(b'"rollup": null', b'"rollup": ' + rollup_json, 1)
 
 
 class _TelemetryBridge:
@@ -234,8 +246,8 @@ class FleetServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    async def _send(self, writer, message: dict) -> None:
-        writer.write(protocol.encode(message))
+    async def _send(self, writer, message: dict, rollup_json=None) -> None:
+        writer.write(_frame(message, rollup_json))
         await writer.drain()
 
     async def _dispatch(self, message: dict, writer) -> None:
@@ -278,11 +290,9 @@ class FleetServer:
         if message.get("wait"):
             await job.done.wait()
             response = {"ok": job.state == "done", **job.public()}
-            if job.rollup is not None:
-                response["rollup"] = job.rollup
             if job.error is not None:
                 response["error"] = job.error
-            await self._send(writer, response)
+            await self._send(writer, response, job.rollup_json)
         else:
             await self._send(writer, {"ok": True, **job.public()})
 
@@ -302,7 +312,8 @@ class FleetServer:
                 existing.cached = True
                 return existing
             job = _Job(spec, shards, kernel)
-            job.state, job.cached, job.rollup = "done", True, rollup
+            job.state, job.cached = "done", True
+            job.rollup_json = self.cache.rollup_bytes(fingerprint, rollup)
             job.done.set()
             self._jobs[fingerprint] = job
             return job
@@ -336,8 +347,7 @@ class FleetServer:
         if job is not None and job.state in ("queued", "running") and message.get("wait"):
             await job.done.wait()
         if job is not None and job.state == "done":
-            await self._send(writer, {"ok": True, **job.public(),
-                                      "rollup": job.rollup})
+            await self._send(writer, {"ok": True, **job.public()}, job.rollup_json)
             return
         if job is not None and job.state == "failed":
             await self._send(writer, {"ok": False, **job.public(),
@@ -348,9 +358,8 @@ class FleetServer:
         rollup = self.cache.get(fingerprint)
         if rollup is not None:
             await self._send(writer, {
-                "ok": True, "job": fingerprint, "state": "done",
-                "cached": True, "rollup": rollup,
-            })
+                "ok": True, "job": fingerprint, "state": "done", "cached": True,
+            }, self.cache.rollup_bytes(fingerprint, rollup))
             return
         await self._send(writer, protocol.error_response(
             f"no result for {fingerprint}; submit the spec first"
@@ -420,7 +429,8 @@ class FleetServer:
             )
             rollup = result.rollup.to_dict()
             self.cache.put(job.spec, rollup)
-            self._loop.call_soon_threadsafe(self._finish_job, job, rollup, None)
+            rollup_json = self.cache.rollup_bytes(job.fingerprint, rollup)
+            self._loop.call_soon_threadsafe(self._finish_job, job, rollup_json, None)
         except BaseException as exc:  # the journal survives; resubmission resumes
             self._loop.call_soon_threadsafe(
                 self._finish_job, job, None, f"{type(exc).__name__}: {exc}"
@@ -429,8 +439,8 @@ class FleetServer:
     def _mark_running(self, job: _Job) -> None:
         job.state = "running"
 
-    def _finish_job(self, job: _Job, rollup: dict | None, error: str | None) -> None:
-        job.rollup = rollup
+    def _finish_job(self, job: _Job, rollup: bytes | None, error: str | None) -> None:
+        job.rollup_json = rollup
         job.error = error
         job.state = "done" if error is None else "failed"
         job.done.set()

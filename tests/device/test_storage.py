@@ -108,3 +108,19 @@ class TestInvariants:
             else:
                 cap.draw(min(amount, cap.energy_j))
             assert 0.0 <= cap.energy_j <= cap.capacity_j + 1e-12
+
+    @given(
+        initial=st.floats(0.0, 1.0),
+        amount=st.one_of(
+            st.floats(0.0, 0.2), st.floats(0.0, 1e-6), st.floats(0.0, 1e3)
+        ),
+    )
+    @settings(max_examples=300)
+    def test_harvest_returns_exactly_what_it_stored(self, initial, amount):
+        # Exact, not approx: a one-ulp error in the return value would be
+        # rounded away where the engine accumulates it.
+        cap = Supercapacitor(initial_fraction=initial)
+        before, headroom = cap.energy_j, cap.headroom_j
+        stored = cap.harvest(amount)
+        assert stored == min(amount, headroom)
+        assert cap.energy_j == before + stored

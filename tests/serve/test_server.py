@@ -7,7 +7,9 @@ checkpoint journal, or served from the content-addressed cache — for
 either kernel and any shard count.
 """
 
+import json
 import os
+import socket
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.serve import (
     FleetClient,
     ServeConfig,
     canonical_rollup_json,
+    protocol,
     start_background,
     submit,
 )
@@ -87,6 +90,123 @@ class TestCacheCorrectness:
     def test_one_shot_submit_helper(self, server):
         rollup = submit(SPEC, port=server.port, shards=2)
         assert canonical_rollup_json(rollup) == fresh_bytes(SPEC)
+
+
+def raw_lines(port, *requests):
+    """Each request's response line, exactly as the server framed it."""
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+        stream = sock.makefile("rb")
+        lines = []
+        for request in requests:
+            sock.sendall(protocol.encode(
+                {"schema_version": protocol.PROTOCOL_VERSION, **request}
+            ))
+            lines.append(stream.readline())
+    return lines
+
+
+def assert_canonical_frame(line, rollup_bytes):
+    """``line`` is ``protocol.encode`` of its own decoding, and its rollup
+    re-encodes to ``rollup_bytes``."""
+    message = json.loads(line)
+    assert line == protocol.encode(message)
+    assert canonical_rollup_json(message["rollup"]) == rollup_bytes
+    return message
+
+
+SMALL = FleetSpec(devices=4, seed=3, name="serve-bytes", n_events=8)
+OTHER = FleetSpec(devices=2, seed=4, name="serve-bytes", n_events=8)
+
+
+def _truncate(data, other):
+    return data[: len(data) // 2]
+
+
+def _flip_fingerprint_byte(data, other):
+    at = data.index(SMALL.fingerprint().encode())
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+
+def _swap_in_other_entry(data, other):
+    return other
+
+
+def _bump_cache_version(data, other):
+    entry = json.loads(data)
+    entry["cache_version"] += 1
+    return json.dumps(entry, sort_keys=True).encode()
+
+
+class TestServedBytes:
+    """Rollup-bearing frames splice each job's stored canonical bytes;
+    they must equal ``protocol.encode`` of the dict response."""
+
+    def test_cold_hit_and_result_frames(self, tmp_path):
+        truth = fresh_bytes(SMALL)
+        wire = {"spec": SMALL.to_wire()}
+        data_dir = str(tmp_path / "srv")
+        with start_background(ServeConfig(data_dir=data_dir)) as handle:
+            cold, hit, result = raw_lines(
+                handle.port,
+                {"op": "submit", "wait": True, **wire},
+                {"op": "submit", "wait": True, **wire},
+                {"op": "result", **wire},
+            )
+        assert not assert_canonical_frame(cold, truth)["cached"]
+        assert assert_canonical_frame(hit, truth)["cached"]
+        assert assert_canonical_frame(result, truth)["state"] == "done"
+        # A restarted server knows no jobs: `result` reads the journal on
+        # disk, and a hit builds its job from the cache entry.
+        with start_background(ServeConfig(data_dir=data_dir)) as handle:
+            result, hit = raw_lines(
+                handle.port,
+                {"op": "result", **wire},
+                {"op": "submit", "wait": True, **wire},
+            )
+            with FleetClient(port=handle.port) as client:
+                stats = client.stats()
+        assert assert_canonical_frame(result, truth)["cached"]
+        assert assert_canonical_frame(hit, truth)["cached"]
+        assert stats["cache"] == {"hits": 2, "misses": 0, "entries": 1}
+
+    @pytest.mark.parametrize("corrupt", [
+        _truncate, _flip_fingerprint_byte, _swap_in_other_entry,
+        _bump_cache_version, None,
+    ], ids=["truncate", "flip-byte", "foreign-entry", "cache-version", "deleted"])
+    def test_damaged_entry_is_a_miss_that_recomputes(self, server, corrupt):
+        cache = server.server.cache
+        with FleetClient(port=server.port) as client:
+            client.submit(OTHER, wait=True)
+            first = client.submit(SMALL, wait=True)
+            assert client.submit(SMALL, wait=True)["cached"]  # remembered
+            assert client.stats()["cache"]["misses"] == 2
+            path = cache._path(SMALL.fingerprint())
+            if corrupt is None:
+                os.remove(path)
+            else:
+                with open(path, "rb") as handle:
+                    data = handle.read()
+                with open(cache._path(OTHER.fingerprint()), "rb") as handle:
+                    other = handle.read()
+                with open(path, "wb") as handle:
+                    handle.write(corrupt(data, other))
+            again = client.submit(SMALL, wait=True)
+            assert again["ok"] and not again["cached"]
+            assert again["rollup"] == first["rollup"]
+            assert client.stats()["cache"] == {"hits": 1, "misses": 3, "entries": 2}
+            assert client.submit(SMALL, wait=True)["cached"]
+            assert client.stats()["cache"]["hits"] == 2
+
+    def test_mutating_a_get_result_leaves_hits_intact(self, server):
+        with FleetClient(port=server.port) as client:
+            first = client.submit(SMALL, wait=True)
+            for _ in range(2):
+                got = server.server.cache.get(SMALL.fingerprint())
+                got["devices"] = -1
+                got.clear()
+            assert server.server.cache.get(SMALL.fingerprint()) == first["rollup"]
+            hit = client.submit(SMALL, wait=True)
+        assert hit["cached"] and hit["rollup"] == first["rollup"]
 
 
 class TestResumeWhileServing:
