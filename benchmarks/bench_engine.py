@@ -174,8 +174,18 @@ def run_fleet_scale_case(
     build_start = time.perf_counter()
     lanes, scalar_lanes, _ = kernel._build_lanes(spec, range(spec.devices), kinds)
     lane_build_s = time.perf_counter() - build_start
+    # A batch takes over its lanes' traces (it builds cumulative-energy
+    # rows on first use and releases finished rows), so every later pass
+    # starts again from the built inputs.
+    inputs = [(lane.trace, lane.schedule) for lane in lanes]
     init_batches(lanes)
     setup_s = time.perf_counter() - build_start
+
+    def restore_inputs():
+        for lane, (trace, schedule) in zip(lanes, inputs):
+            lane.trace, lane.schedule = trace, schedule
+
+    restore_inputs()
     if scalar_lanes:
         raise RuntimeError(
             f"bench spec produced {len(scalar_lanes)} ineligible lane(s)"
@@ -211,6 +221,7 @@ def run_fleet_scale_case(
     best_vector = None
     best_stats = None
     for _ in range(repeats):
+        restore_inputs()
         stats = kernel.KernelStats(lanes=len(lanes))
         start = time.perf_counter()
         for lane, metrics in kernel._run_lane_groups(lanes, factories, stats):
@@ -226,6 +237,7 @@ def run_fleet_scale_case(
 
     # The scalar side is just as exposed to machine noise as the vector
     # side, so it gets the same best-of-repeats treatment.
+    restore_inputs()
     scalar_s = None
     for _ in range(repeats):
         start = time.perf_counter()

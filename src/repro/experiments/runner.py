@@ -16,8 +16,9 @@ spec lists
   (they are immutable after construction, so sharing is safe);
 * **without re-simulating runs** — a bounded, process-wide memo keyed by
   the sha256 of the pickled ``(seeded config, first-attempt policy)``
-  pair serves every repeat of a finished run (the paper's figures share
-  their default Quetzal runs) as an independent copy;
+  pair, with the config's display name blanked, serves every repeat of a
+  finished run (the paper's figures share their default Quetzal runs) as
+  an independent copy;
 * **fault-tolerantly** — a run that raises is retried once and, if it
   raises again, recorded as a structured :class:`RunFailure` in the
   result list instead of killing the whole sweep.
@@ -38,7 +39,7 @@ import threading
 import traceback
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from repro.env.events import EventSchedule
@@ -207,14 +208,16 @@ def _keyed_policy(
 ) -> tuple[Policy | None, bytes | None]:
     """The first attempt's policy and the sha256 of the pickled run, or Nones.
 
-    A raising factory raises again, and is recorded, in the run's attempts.
+    The key blanks ``config.name``, a display label nothing simulated
+    reads, so configs that differ only in name share their runs.  A
+    raising factory raises again, and is recorded, in the run's attempts.
     """
     try:
         policy = factory()
     except Exception:  # noqa: BLE001 - failures become data at run time
         return None, None
     try:
-        blob = pickle.dumps((config, policy), protocol=5)
+        blob = pickle.dumps((replace(config, name=""), policy), protocol=5)
     except (pickle.PicklingError, TypeError, AttributeError):
         return policy, None  # an unpicklable run just simulates
     return policy, hashlib.sha256(blob).digest()

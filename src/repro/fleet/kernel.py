@@ -480,6 +480,11 @@ _ROW_ARRAYS = ("buf_t", "buf_int", "buf_job", "buf_used")
 #: even with dead-lane gaps.
 
 
+#: Drops a private anonymous page (it reads back as zeros); a platform
+#: without it keeps dead trace rows resident.
+_MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
+
+
 def _anon_zeros(shape) -> np.ndarray:
     """A zeroed float64 array in its own private anonymous mapping, whose
     pages go back to the OS when the array dies (glibc kept freed 14.7 MB
@@ -712,19 +717,23 @@ class _VectorBatch:
     def _fill_traces(self, lanes) -> None:
         """Make the table rows each lane's only trace copy.
 
-        Store-attached schedules become private copies, so a segment's
-        mapping closes once its lanes are filled; filling in source-address
-        order walks the store one segment at a time.
+        Only ``powers`` is copied (``_need_cum`` builds ``cum`` rows), and
+        harvested rows are released, so a lane's trace stays valid only if
+        it leaves with private rows (``_detach``).  Store-attached schedules
+        become private copies, so a segment's mapping closes once its lanes
+        are filled; filling in source-address order walks the store one
+        segment at a time.
         """
         self.powers = powers = _anon_zeros((self.D, self.N))
         self.cum = cum = _anon_zeros((self.D, self.N))
+        self.cum_built = np.zeros(self.D, dtype=bool)
+        self.row_dead = np.zeros(self.D, dtype=bool)
         times = self.times1d  # equal to every lane's grid (_integer_grid)
         source = [lane.trace._powers.__array_interface__["data"][0] for lane in lanes]
         for i in sorted(range(self.D), key=source.__getitem__):
             lane = lanes[i]
             trace = lane.trace
             powers[i] = trace._powers
-            cum[i] = trace._cum_energy
             lane.trace = PiecewiseConstantTrace._attach(
                 times, powers[i], cum[i], trace._period, trace._energy_per_period
             )
@@ -766,7 +775,8 @@ class _VectorBatch:
 
     def _harvest(self, idx) -> None:
         """Materialize finished columns into ``results`` (None = fallback);
-        set migrated columns aside with their loop-head state for ``run()``."""
+        set migrated columns aside with their loop-head state for ``run()``.
+        Then release the columns' trace rows."""
         results = self.results
         orig = self.orig
         anomaly = self.anomaly
@@ -777,19 +787,57 @@ class _VectorBatch:
             if migrated[i]:
                 self._resume.append((int(orig[i]), self._loop_head(i)))
             elif anomaly[i] or state[i] != _DONE:
+                self._detach(i)  # the scalar rerun reads its trace
                 results[int(orig[i])] = None
             else:
                 results[int(orig[i])] = self._metrics(i)
+        self._release(self.trow[idx])
 
-    def _loop_head(self, i: int) -> tuple:
-        """Column ``i``'s lane and ``SimulationEngine.resume_at`` arguments."""
+    def _need_cum(self, rows) -> None:
+        """Build the unbuilt ``cum`` rows among trace rows ``rows``: the
+        prefix sum of ``_init_from_validated``, whose durations are all
+        exactly 1.0 on the integer grid, so bit-identical to the trace's
+        ``_cum_energy``.  Rows never read stay untouched pages."""
+        built = self.cum_built[rows]
+        if not built.all():
+            for row in rows[~built].tolist():  # in place: no temporaries
+                np.cumsum(self.powers[row, :-1], out=self.cum[row, 1:])
+            self.cum_built[rows] = True
+
+    def _release(self, rows) -> None:
+        """Mark trace rows dead and return to the OS the whole pages inside
+        each run of dead rows that ``rows`` joined, in both tables."""
+        dead = self.row_dead
+        dead[rows] = True
+        if _MADV_DONTNEED is None:
+            return
+        edges = np.flatnonzero(np.diff(dead, prepend=False, append=False))
+        starts, ends = edges[0::2], edges[1::2]
+        runs = np.unique(np.searchsorted(starts, rows, side="right") - 1)
+        row_bytes, page = 8 * self.N, mmap.PAGESIZE
+        lo = -(-starts[runs] * row_bytes // page) * page  # whole pages only
+        size = ends[runs] * row_bytes // page * page - lo
+        powers, cum = self.powers.base, self.cum.base
+        whole = size > 0
+        for start, length in zip(lo[whole].tolist(), size[whole].tolist()):
+            powers.madvise(_MADV_DONTNEED, start, length)
+            cum.madvise(_MADV_DONTNEED, start, length)
+
+    def _detach(self, i: int) -> _Lane:
+        """Column ``i``'s lane, re-pointed at private copies of its trace
+        rows: it outlives them (a continuation or a scalar rerun)."""
         row = int(self.trow[i])
+        self._need_cum(self.trow[i : i + 1])
         lane = self.lanes[row]
-        # The continuation outlives the tables: it runs on its own rows.
         lane.trace = PiecewiseConstantTrace._attach(
             self.times1d, self.powers[row].copy(), self.cum[row].copy(),
             lane.trace._period, lane.trace._energy_per_period,
         )
+        return lane
+
+    def _loop_head(self, i: int) -> tuple:
+        """Column ``i``'s lane and ``SimulationEngine.resume_at`` arguments."""
+        lane = self._detach(i)
         used = self.buf_used[i].nonzero()[0]
         pending = [
             (float(self.buf_t[i, s]), bool(self.buf_int[i, s]),
@@ -1487,6 +1535,7 @@ class _VectorBatch:
             keep = (~at_end).nonzero()[0]
             lanes = lanes[keep]
             deficit = deficit[keep]
+        self._need_cum(self.trow[lanes])  # the recharge walks read ``cum``
         now = self.now[lanes]
         next_cap = self.next_cap[lanes]
         hard = self.hard_end[lanes]

@@ -197,6 +197,25 @@ class TestRunMemo:
         assert len(engine_runs) == 1
         assert a == b and a is not b
 
+    def test_config_names_do_not_key_runs(self, engine_runs):
+        renamed = dataclasses.replace(TINY, name="another label")
+        assert run_one(NoAdaptPolicy, config=renamed) == run_one(NoAdaptPolicy)
+        assert len(engine_runs) == 1
+
+    def test_figure8_reuses_figure3_runs(self, engine_runs):
+        """Figure 8's crowded QZ/NA runs are Figure 3's under another name."""
+        from repro.experiments import figures
+
+        cold = figures.fig8_hardware_experiment(4, (0,)).to_dict()
+        assert len(engine_runs) == 4
+        clear_run_memo()
+        engine_runs.clear()
+        figures.fig3_naive_solutions(4, (0,))
+        engine_runs.clear()
+        served = figures.fig8_hardware_experiment(4, (0,)).to_dict()
+        assert len(engine_runs) == 2  # only the more-crowded pair simulates
+        assert served == cold
+
     @pytest.mark.parametrize(
         "factories",
         [

@@ -12,6 +12,8 @@ import multiprocessing
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.experiments.harness import standard_policies
@@ -307,6 +309,94 @@ class TestTraceResidency:
             shared = (np.shares_memory(trace._powers, powers)
                       or np.shares_memory(trace._cum_energy, cum))
             assert shared == (id(lane) not in migrated)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 40).flatmap(lambda n: st.lists(
+        st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n),
+        min_size=1, max_size=4,
+    )))
+    def test_lazy_cum_rows_equal_the_traces(self, rows):
+        import numpy as np
+
+        from repro.fleet import kernel
+        from repro.trace.power_trace import PiecewiseConstantTrace
+
+        batch = kernel._VectorBatch.__new__(kernel._VectorBatch)
+        batch.N = len(rows[0])
+        batch.powers = kernel._anon_zeros((len(rows), batch.N))
+        batch.powers[:] = rows
+        batch.cum = kernel._anon_zeros((len(rows), batch.N))
+        batch.cum_built = np.zeros(len(rows), dtype=bool)
+        batch._need_cum(np.array([len(rows) - 1]))  # built once, kept
+        batch._need_cum(np.arange(len(rows))[::-1])
+        for built, row in zip(batch.cum, rows):
+            expected = PiecewiseConstantTrace.from_samples(row, 1.0)._cum_energy
+            assert np.array_equal(built, expected)
+
+    def test_fallback_lanes_rerun_from_private_rows(self, monkeypatch):
+        """Lanes anomalized mid-run, one mid-recharge and one whose ``cum``
+        row was never built, leave with their own trace rows and rerun,
+        after the batch released its table rows, to the oracle's results;
+        no lane that leaves the batch alive pins the tables."""
+        import mmap
+
+        import numpy as np
+
+        from repro.fleet import kernel
+
+        monkeypatch.setattr(kernel, "_MIGRATE_LANES", 8)
+        spec = baseline_spec(40)
+        forced = []
+        real_rech = kernel._VectorBatch._rech
+
+        def rech(batch, m, count):
+            real_rech(batch, m, count)
+            if not forced:
+                unbuilt = ~batch.cum_built[batch.trow] & (batch.state != kernel._DONE)
+                columns = np.array([m.nonzero()[0][0], unbuilt.nonzero()[0][0]])
+                forced.extend(batch.orig[columns].tolist())
+                batch._anomalize(columns)
+
+        monkeypatch.setattr(kernel._VectorBatch, "_rech", rech)
+        lanes = one_batch_of_lanes(spec)
+        batch = kernel._VectorBatch(lanes, standard_policies())
+        powers, cum = batch.powers, batch.cum
+        results = batch.run()
+        assert len(forced) == 2 and all(results[i] is None for i in forced)
+        assert batch.row_dead.all()
+        if hasattr(mmap, "MADV_DONTNEED"):  # the last row may end mid-page
+            assert not powers[:-1].any() and not cum[:-1].any()
+        fallback = [lanes[i] for i in forced]
+        for lane in [lane for _, (lane, _) in batch._resume] + fallback:
+            assert not np.shares_memory(lane.trace._powers, powers)
+            assert not np.shares_memory(lane.trace._cum_energy, cum)
+        for lane in fallback:
+            rerun = _attempt_spec(
+                RunSpec(policy=lane.policy_name, seed=0, config=lane.config),
+                standard_policies()[lane.policy_name], lane.trace, lane.schedule, 0,
+            )
+            expected = scalar_outcome(spec, lane.device)
+            assert dataclasses.asdict(rerun) == dataclasses.asdict(expected)
+
+    def test_lanes_that_never_recharge_build_no_cum_row(self):
+        from repro.fleet import kernel
+
+        spec = baseline_spec(40)
+        lanes = one_batch_of_lanes(spec)
+        first = dict(zip(
+            (lane.device for lane in lanes),
+            kernel._VectorBatch(lanes, standard_policies()).run(),
+        ))
+        calm = {device for device, metrics in first.items()
+                if metrics.recharge_time_s == 0.0}
+        assert 0 < len(calm) < len(lanes)
+        lanes = [lane for lane in one_batch_of_lanes(spec) if lane.device in calm]
+        batch = kernel._VectorBatch(lanes, standard_policies())
+        cum = batch.cum
+        results = batch.run()
+        assert not batch.cum_built.any() and not cum.any()
+        for lane, metrics in zip(lanes, results):
+            assert dataclasses.asdict(metrics) == dataclasses.asdict(first[lane.device])
 
     def test_capture_chunking_never_changes_results(self, monkeypatch):
         from repro.fleet import kernel

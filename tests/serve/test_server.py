@@ -10,6 +10,8 @@ either kernel and any shard count.
 import json
 import os
 import socket
+import threading
+import time
 
 import pytest
 
@@ -255,6 +257,45 @@ class TestStreaming:
         done = [b for b in beats if b["type"] == "heartbeat"]
         assert done[-1]["shards_done"] == 3
         assert done[-1]["devices_done"] == SPEC.devices
+
+    def test_watcher_disconnecting_mid_stream(self, server, monkeypatch):
+        """A watcher that drops its socket while the job streams costs
+        nothing: other clients are served, the job finishes and is cached,
+        and the dropped watcher is unsubscribed.  Every wait is bounded."""
+        from repro.serve import server as server_module
+
+        released = threading.Event()
+        real_write = server_module._TelemetryBridge.write
+
+        def held_write(bridge, text):
+            real_write(bridge, text)
+            released.wait(timeout=30)  # the job streams no further for now
+
+        def wait_for(condition):
+            deadline = time.monotonic() + 30
+            while not condition() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return condition()
+
+        monkeypatch.setattr(server_module._TelemetryBridge, "write", held_write)
+        wire = {"schema_version": protocol.PROTOCOL_VERSION, "spec": SPEC.to_wire()}
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+            stream = sock.makefile("rb")
+            sock.sendall(protocol.encode({"op": "submit", **wire}))
+            assert json.loads(stream.readline())["ok"]
+            sock.sendall(protocol.encode({"op": "watch", **wire}))
+            assert json.loads(stream.readline())["type"] == "start"
+            job = server.server._jobs[SPEC.fingerprint()]
+            assert wait_for(lambda: job.watchers) and not job.done.is_set()
+        released.set()
+        with FleetClient(port=server.port, timeout=30) as client:
+            assert client.ping()["ok"]
+            done = client.submit(SPEC, wait=True)
+            assert done["ok"] and not done["cached"]
+            assert canonical_rollup_json(done["rollup"]) == fresh_bytes(SPEC)
+            assert client.submit(SPEC, wait=True)["cached"]
+            assert client.stats()["cache"]["entries"] == 1
+        assert wait_for(lambda: not job.watchers)
 
     def test_watch_unknown_job_errors(self, server):
         with FleetClient(port=server.port) as client:
