@@ -1,6 +1,6 @@
 # Convenience targets for the Quetzal reproduction.
 
-.PHONY: install test lint bench profile-figures bench-record bench-figures smoke figures figures-paper-scale examples clean
+.PHONY: install test lint bench profile-figures results smoke figures figures-paper-scale examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -12,26 +12,26 @@ test:
 lint:
 	ruff check src tests
 
-# Engine perf-regression gate: times the paper-scale cases (including the
-# quetzal decision-path cases) and fails if any is slower than the
-# committed BENCH_engine.json baseline by more than BENCH_TOLERANCE
-# (default 2x; generous so only real regressions trip).  Extra harness
-# flags ride in BENCH_ARGS, e.g. `make bench BENCH_ARGS="--repeats 5"`.
+# Same-run ratio gates (benchmarks/bench_engine.py): vector kernel vs
+# scalar engine, trace-store attach vs regenerate, jobs=4 vs jobs=1, each
+# the median of interleaved pairs against a constant floor.  Every pair
+# ratio lands in bench_results.json (CI uploads it).  End-to-end speed is
+# perfbench's: `python3 perfbench/run.py --workload all`.
 bench:
-	PYTHONPATH=src python benchmarks/bench_engine.py --check $(BENCH_ARGS)
+	PYTHONPATH=src python benchmarks/bench_engine.py --output bench_results.json
 
 # Per-figure cProfile dumps (one .pstats per figure; CI uploads these).
 profile-figures:
 	PYTHONPATH=src python -m repro.experiments --events 30 --seeds 1 \
 		--profile --profile-dir profiles
 
-# Append a new trajectory entry to BENCH_engine.json (run after perf work).
-bench-record:
-	PYTHONPATH=src python benchmarks/bench_engine.py --record --repeats 5 --label "$(LABEL)"
-
-# Full pytest-benchmark suite (figure benches + engine micro-benches).
-bench-figures:
-	pytest benchmarks/ --benchmark-only
+# Full reproduction run: regenerate every figure at the scale of
+# EXPERIMENTS.md and diff it against the committed results_canonical.txt
+# (the wall-time footer aside).
+results:
+	PYTHONPATH=src python -m repro.experiments --events 150 --seeds 3 \
+		| grep -v '^\[regenerated ' > results_regenerated.txt
+	grep -v '^\[regenerated ' results_canonical.txt | diff - results_regenerated.txt
 
 # End-to-end byte-identity gate: one 24-device fleet spec driven through
 # the fleet CLI (kill/resume, --kernel vector, varied shards/jobs,
@@ -56,5 +56,6 @@ examples:
 	for f in examples/*.py; do echo "== $$f"; python $$f; done
 
 clean:
-	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .benchmarks
+	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache \
+		bench_results.json results_regenerated.txt
 	find . -name __pycache__ -type d -exec rm -rf {} +

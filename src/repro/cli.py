@@ -5,10 +5,8 @@
 mean the same thing on all three.  This module is the single source of
 that flag group:
 
-* ``--jobs N`` — worker processes (``0`` = one per CPU, matching
-  ``BENCH_JOBS`` and :func:`repro.experiments.runner.resolve_jobs`);
-  the default comes from the ``BENCH_JOBS`` environment variable (1 when
-  unset), so the benchmarks' knob drives the CLIs too.
+* ``--jobs N`` — worker processes (default 1; ``0`` = one per CPU, as
+  in :func:`repro.experiments.runner.resolve_jobs`).
 * ``--profile`` — wrap the work in :mod:`cProfile` and print the top
   hotspots; forces serial execution (child processes would escape the
   profiler).
@@ -57,22 +55,14 @@ CORE_FLAGS = frozenset({
 })
 
 
-def _default_jobs_flag() -> int:
-    """The ``--jobs`` default: the ``BENCH_JOBS`` env var, else 1 (serial)."""
-    try:
-        return int(os.environ.get("BENCH_JOBS", "1"))
-    except ValueError:
-        return 1
-
-
 def add_execution_flags(parser: argparse.ArgumentParser) -> None:
     """Install the shared ``--jobs`` / ``--profile`` / ``--profile-dir`` flags."""
     parser.add_argument(
         "--jobs",
         type=int,
-        default=_default_jobs_flag(),
+        default=1,
         metavar="N",
-        help="worker processes (0 = one per CPU; default from BENCH_JOBS, else 1)",
+        help="worker processes (0 = one per CPU; default 1)",
     )
     parser.add_argument(
         "--profile",

@@ -7,17 +7,16 @@ Usage::
 ``--events`` scales the per-run event count (default 120; the paper uses
 1000) and ``--seeds`` the number of seed replicas averaged per bar.
 ``--jobs`` fans the runs of each figure out over that many worker
-processes (``0`` = one per CPU; defaults to ``BENCH_JOBS`` when set);
-results are bit-identical to a serial run.  ``--figure`` selects figures
-by substring of their id (e.g. ``9``, ``11``, ``Table``); only the
-selected figures are computed.
+processes (default 1; ``0`` = one per CPU); results are bit-identical to
+a serial run.  ``--figure`` selects figures by substring of their id
+(e.g. ``9``, ``11``, ``Table``); only the selected figures are computed.
 
 ``--profile`` wraps each figure in :mod:`cProfile` and prints its top
 hotspots (by total time) after the figure renders — the quickest way to
 see where simulation wall-clock goes before reaching for
-``benchmarks/bench_engine.py``.  Profiling forces ``--jobs 1``: child
-processes would escape the profiler.  ``--profile-dir DIR`` additionally
-dumps one ``.pstats`` file per figure (CI uploads these as artifacts).
+``perfbench/run.py``.  Profiling forces ``--jobs 1``: child processes
+would escape the profiler.  ``--profile-dir DIR`` additionally dumps one
+``.pstats`` file per figure (CI uploads these as artifacts).
 
 The execution flags (``--jobs``/``--profile``/``--profile-dir`` plus the
 ``--kernel``/``--trace-store``/``--metrics-out`` group) are shared with

@@ -12,8 +12,8 @@ plot, useful to anyone provisioning a Quetzal-style device:
   to the error-mitigation tuning?
 
 Each study returns a :class:`~repro.experiments.reporting.FigureResult`
-like the paper-figure runners and is exercised by
-``benchmarks/bench_extensions.py``.
+like the paper-figure runners; ``tests/test_paper_claims.py`` asserts each
+study's trend.
 """
 
 from __future__ import annotations

@@ -139,7 +139,7 @@ def default_jobs() -> int:
 def resolve_jobs(jobs: int | None) -> int:
     """Normalize a jobs setting: ``None``/``0`` mean one worker per CPU.
 
-    Every parallelism knob in the repo (``--jobs``, ``BENCH_JOBS``,
+    Every parallelism knob in the repo (``--jobs``,
     :class:`ExperimentRunner`, :func:`repro.fleet.run_fleet`) funnels
     through this, so ``0`` is "one per CPU" everywhere rather than only
     on the ``repro.experiments`` CLI.

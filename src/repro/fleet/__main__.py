@@ -12,8 +12,8 @@ Usage::
 Shares ``--jobs`` / ``--profile`` / ``--profile-dir`` / ``--kernel`` /
 ``--trace-store`` / ``--metrics-out`` semantics with
 ``python -m repro.experiments`` and ``python -m repro.serve`` (one
-helper: :mod:`repro.cli`); ``--jobs 0`` is one worker per CPU and
-``BENCH_JOBS`` sets the default.  Results are bit-identical at any
+helper: :mod:`repro.cli`); ``--jobs`` defaults to 1 and ``--jobs 0`` is
+one worker per CPU.  Results are bit-identical at any
 ``--shards``/``--jobs`` setting, and a ``--resume`` after a kill matches
 an uninterrupted run exactly (``make smoke`` checks this).
 

@@ -718,11 +718,11 @@ class _VectorBatch:
         """Make the table rows each lane's only trace copy.
 
         Only ``powers`` is copied (``_need_cum`` builds ``cum`` rows), and
-        harvested rows are released, so a lane's trace stays valid only if
-        it leaves with private rows (``_detach``).  Store-attached schedules
-        become private copies, so a segment's mapping closes once its lanes
-        are filled; filling in source-address order walks the store one
-        segment at a time.
+        harvested rows are released, so a lane keeps a trace after its
+        batch only if it leaves with private rows (``_detach``).
+        Store-attached schedules become private copies, so a segment's
+        mapping closes once its lanes are filled; filling in source-address
+        order walks the store one segment at a time.
         """
         self.powers = powers = _anon_zeros((self.D, self.N))
         self.cum = cum = _anon_zeros((self.D, self.N))
@@ -776,7 +776,9 @@ class _VectorBatch:
     def _harvest(self, idx) -> None:
         """Materialize finished columns into ``results`` (None = fallback);
         set migrated columns aside with their loop-head state for ``run()``.
-        Then release the columns' trace rows."""
+        Then release the columns' trace rows: a lane whose metrics were
+        harvested drops its trace, so reusing it raises instead of
+        simulating released (zeroed) rows."""
         results = self.results
         orig = self.orig
         anomaly = self.anomaly
@@ -791,6 +793,7 @@ class _VectorBatch:
                 results[int(orig[i])] = None
             else:
                 results[int(orig[i])] = self._metrics(i)
+                self.lanes[int(self.trow[i])].trace = None
         self._release(self.trow[idx])
 
     def _need_cum(self, rows) -> None:

@@ -1,8 +1,8 @@
 """Smoke and shape tests for every figure runner.
 
 Each runner executes at a tiny scale (few events, one seed) to verify it
-produces well-formed rows; the headline *shape* checks (Quetzal wins) run
-at a moderate scale on the figures where the margin is robust.
+produces well-formed rows.  The paper's orderings are gated at the
+documented scale in ``tests/test_paper_claims.py``.
 """
 
 import json
@@ -95,30 +95,8 @@ class TestSmoke:
 
 @pytest.mark.slow
 class TestShape:
-    """Moderate-scale checks of the paper's headline orderings."""
-
-    def test_quetzal_beats_noadapt_everywhere(self):
-        result = figures.fig9_vs_nonadaptive(n_events=60, seeds=(0, 1))
-        by_env = {}
-        for row in result.rows:
-            by_env.setdefault(row["environment"], {})[row["policy"]] = row
-        for env, rows in by_env.items():
-            assert rows["QZ"]["discarded %"] < rows["NA"]["discarded %"], env
-
-    def test_quetzal_beats_catnap_everywhere(self):
-        result = figures.fig10_vs_prior_work(n_events=60, seeds=(0, 1))
-        by_env = {}
-        for row in result.rows:
-            by_env.setdefault(row["environment"], {})[row["policy"]] = row
-        for env, rows in by_env.items():
-            assert rows["QZ"]["discarded %"] < rows["CN"]["discarded %"], env
-
-    def test_fig2b_longer_periods_capture_less(self):
-        result = figures.fig2b_capture_rate_sweep(
-            n_events=60, seeds=(0,), periods_s=(1, 4, 10)
-        )
-        captured = [row["interesting captured"] for row in result.rows]
-        assert captured[0] > captured[-1]
+    """Figure 14's cells trend with no slack: fewer cells never discard less
+    (``tests/test_paper_claims.py`` allows one point at 80 events)."""
 
     def test_fig14_fewer_cells_hurt(self):
         result = figures.fig14_sensitivity(

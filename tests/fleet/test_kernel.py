@@ -305,10 +305,19 @@ class TestTraceResidency:
         migrated = {id(lane) for _, (lane, _) in batch._resume}
         assert migrated
         for lane in lanes:
-            trace = lane.trace
-            shared = (np.shares_memory(trace._powers, powers)
-                      or np.shares_memory(trace._cum_energy, cum))
-            assert shared == (id(lane) not in migrated)
+            if id(lane) not in migrated:  # finished: its rows are released
+                assert lane.trace is None
+                continue
+            assert not np.shares_memory(lane.trace._powers, powers)
+            assert not np.shares_memory(lane.trace._cum_energy, cum)
+
+    def test_reusing_finished_lanes_raises(self):
+        from repro.fleet import kernel
+
+        lanes = one_batch_of_lanes(baseline_spec(40))
+        kernel._VectorBatch(lanes, standard_policies()).run()
+        with pytest.raises(AttributeError):
+            kernel._VectorBatch(lanes, standard_policies())
 
     @settings(max_examples=60, deadline=None)
     @given(rows=st.integers(1, 40).flatmap(lambda n: st.lists(

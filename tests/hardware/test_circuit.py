@@ -1,5 +1,7 @@
 """End-to-end tests of the power-measurement circuit model."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +88,19 @@ class TestTemperature:
         cold = PowerMonitor().with_temperature(25.0)
         hot = PowerMonitor().with_temperature(50.0)
         assert cold.code_for_power(0.1) != hot.code_for_power(0.1)
+
+    @pytest.mark.parametrize("temp_c", range(25, 51, 5))
+    def test_algorithm3_within_one_octave(self, temp_c):
+        """Algorithm 3's service time across the 25-50 C band at realistic
+        powers: within one binary order of magnitude of the exact ratio."""
+        monitor = PowerMonitor().with_temperature(temp_c)
+        for p_exe, p_in in ((0.3, 0.05), (0.3, 0.01), (0.01, 0.004)):
+            firmware = DivisionFreeServiceTime(
+                1.0, monitor.profile_execution_power(p_exe)
+            )
+            estimate = firmware.service_time(monitor.measure_input_power(p_in))
+            exact = max(1.0, monitor.exact_ratio(p_exe, p_in))
+            assert abs(math.log2(estimate / exact)) < 1.0, (p_exe, p_in)
 
 
 class TestConfigValidation:

@@ -64,17 +64,10 @@ class TestJobsResolution:
         add_core_flags(parser)
         return parser
 
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("BENCH_JOBS", raising=False)
+    def test_default_is_serial(self):
         parser = self._parser()
         args = parser.parse_args([])
         assert jobs_from_args(args, parser) == 1
-
-    def test_bench_jobs_env_sets_default(self, monkeypatch):
-        monkeypatch.setenv("BENCH_JOBS", "3")
-        parser = self._parser()
-        args = parser.parse_args([])
-        assert jobs_from_args(args, parser) == 3
 
     def test_profile_forces_serial(self):
         parser = self._parser()
