@@ -6,7 +6,7 @@ install:
 	pip install -e . --no-build-isolation
 
 test:
-	pytest tests/
+	PYTHONPATH=src python -m pytest -x -q
 
 # Style/bug lint (same invocation as CI; needs `pip install ruff`).
 lint:
@@ -45,15 +45,15 @@ smoke:
 
 # Regenerate every table and figure at the default (fast) scale.
 figures:
-	python -m repro.experiments
+	PYTHONPATH=src python -m repro.experiments
 
 # Paper-scale regeneration (1000 events; takes ~20 minutes).
 figures-paper-scale:
-	python -m repro.experiments --events 1000 --seeds 3 \
+	PYTHONPATH=src python -m repro.experiments --events 1000 --seeds 3 \
 		--json results_paper_scale.json | tee results_paper_scale.txt
 
 examples:
-	for f in examples/*.py; do echo "== $$f"; python $$f; done
+	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src python $$f; done
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache \

@@ -248,8 +248,8 @@ class EventCursor:
     (one query per capture tick), so the active event index only ever moves
     forward, usually by zero or one.  The cursor caches that index and
     re-validates it with two comparisons; queries that jump backward (or far
-    ahead) fall back to ``bisect`` and re-seed the cache.  Results are
-    always identical to the stateless ``EventSchedule`` queries.
+    ahead) fall back to ``bisect`` and re-seed the cache.  ``event_at``
+    always returns what :meth:`EventSchedule.event_at` does.
     """
 
     __slots__ = ("schedule", "_events", "_starts", "_ends", "_n", "_idx")
@@ -288,15 +288,6 @@ class EventCursor:
                 return None
         # Here starts[idx] <= t, so active_at reduces to t < end.
         return self._events[idx] if t < self._ends[idx] else None
-
-    def active_at(self, t: float) -> bool:
-        """'Different' pin: is any event in progress at ``t``?"""
-        return self.event_at(t) is not None
-
-    def interesting_at(self, t: float) -> bool:
-        """'Interesting' pin: is an interesting event in progress at ``t``?"""
-        ev = self.event_at(t)
-        return ev is not None and ev.interesting
 
 
 @dataclass(frozen=True)

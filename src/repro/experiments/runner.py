@@ -48,7 +48,7 @@ from repro.experiments.configs import ExperimentConfig
 from repro.policies.base import Policy
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import RunMetrics
-from repro.trace.power_trace import PowerTrace
+from repro.trace.power_trace import PiecewiseConstantTrace
 
 __all__ = [
     "RunSpec",
@@ -312,7 +312,7 @@ def map_indexed(
 def _build_engine(
     spec: RunSpec,
     factory: PolicyFactory,
-    trace: PowerTrace,
+    trace: PiecewiseConstantTrace,
     schedule: EventSchedule,
     tracer=None,
 ) -> SimulationEngine:
@@ -333,7 +333,7 @@ def _build_engine(
 def _attempt_spec(
     spec: RunSpec,
     factory: PolicyFactory,
-    trace: PowerTrace,
+    trace: PiecewiseConstantTrace,
     schedule: EventSchedule,
     retries: int,
     tracer=None,

@@ -922,7 +922,7 @@ class _VectorBatch:
             behind = behind[self.now[behind] >= self.seg_nb[behind]]
 
     def _fold(self, t):
-        """PiecewiseConstantTrace._fold, vectorized (k kept as float64)."""
+        """TraceCursor._fold, vectorized (k kept as float64)."""
         k = np.floor(t / self.PERIOD)
         local = t - k * self.PERIOD
         adjust = local >= self.PERIOD
@@ -1543,11 +1543,7 @@ class _VectorBatch:
         next_cap = self.next_cap[lanes]
         hard = self.hard_end[lanes]
         cap = np.where(next_cap < hard, next_cap, hard)
-        local0, k0 = self._fold(now)
-        e0 = self._efz(lanes, local0)
-        local1, k1 = self._fold(cap)
-        e1 = self._efz(lanes, local1)
-        e_cap = (k1 - k0) * self.epp[lanes] + e1 - e0
+        e_cap = self._integrate_vec(lanes, now, cap)
         boundary = cap  # np.where above returned a fresh writable array
         harvested = e_cap
         finishing = (~(e_cap < deficit)).nonzero()[0]
@@ -1644,20 +1640,9 @@ class _VectorBatch:
         2**53, so ``k * period`` and ``(k1 - k0) * epp`` are bit-equal to
         the scalar int-arithmetic (the ``_fold`` precedent).
         """
-        period = self.PERIOD
-        k0 = np.floor(t0 / period)
-        local0 = t0 - k0 * period
-        adjust = local0 >= period
-        if adjust.any():
-            local0 = np.where(adjust, local0 - period, local0)
-            k0 = np.where(adjust, k0 + 1.0, k0)
+        local0, k0 = self._fold(t0)
         e0 = self._efz(lanes, local0)
-        k1 = np.floor(t1 / period)
-        local1 = t1 - k1 * period
-        adjust = local1 >= period
-        if adjust.any():
-            local1 = np.where(adjust, local1 - period, local1)
-            k1 = np.where(adjust, k1 + 1.0, k1)
+        local1, k1 = self._fold(t1)
         e1 = self._efz(lanes, local1)
         out = (k1 - k0) * self.epp[lanes] + e1 - e0
         zero = t1 == t0
@@ -1684,12 +1669,7 @@ class _VectorBatch:
         t = t0.copy()
         # Whole-period skip.  Masked-out columns ride along; their garbage
         # (inf - inf, etc.) is discarded by the where-blends.
-        k = np.floor(t / period)
-        local = t - k * period
-        adjust = local >= period
-        if adjust.any():
-            local = np.where(adjust, local - period, local)
-            k = np.where(adjust, k + 1.0, k)
+        local, k = self._fold(t)
         to_boundary = period - local
         e_to_boundary = self._integrate_vec(lanes, t, t + to_boundary)
         skipping = active & (e_to_boundary < remaining)
@@ -1726,12 +1706,7 @@ class _VectorBatch:
                 break
             lw = lanes[w]
             tw = t[w]
-            k = np.floor(tw / period)
-            local = tw - k * period
-            adjust = local >= period
-            if adjust.any():
-                local = np.where(adjust, local - period, local)
-                k = np.where(adjust, k + 1.0, k)
+            local, k = self._fold(tw)
             seg = np.minimum(local.astype(np.intp), self.N - 1)
             p = self.powers[self.trow[lw], seg]
             # Integer grid: the scalar "float(seg + 1) if seg + 1 < n else

@@ -8,7 +8,7 @@ deterministic traces for tests.
 """
 
 from repro.trace.io import load_trace_csv, save_trace_csv, trace_from_rows
-from repro.trace.power_trace import PiecewiseConstantTrace, PowerTrace
+from repro.trace.power_trace import PiecewiseConstantTrace
 from repro.trace.solar import SolarTraceConfig, SolarTraceGenerator
 from repro.trace.stats import TraceSummary, fraction_above, percentile_power, summarize
 from repro.trace.store import TraceStore, schedule_store_key, solar_store_key
@@ -20,7 +20,6 @@ from repro.trace.synthetic import (
 )
 
 __all__ = [
-    "PowerTrace",
     "PiecewiseConstantTrace",
     "SolarTraceConfig",
     "SolarTraceGenerator",

@@ -10,18 +10,15 @@ storage depletion), integrating power exactly over each span.  The result is
 numerically identical to the 1 ms loop for traces sampled at >= 1 ms (see
 ``tests/sim/test_engine_equivalence.py``).
 
-Two query front-ends share the same semantics:
-
-* the stateless :class:`PiecewiseConstantTrace` methods locate the segment
-  containing ``t`` by ``bisect`` on every call — O(log n) each, from
-  anywhere in time;
-* a :class:`TraceCursor` (``trace.cursor()``) remembers the last segment it
-  touched and re-locates incrementally, which is O(1) amortized for the
-  engine's monotone access pattern and falls back to ``bisect`` on random
-  access.  Every cursor method performs bit-for-bit the same floating-point
-  arithmetic as its stateless counterpart, so the two are interchangeable
-  without changing any simulated result
-  (``tests/trace/test_trace_cursor.py`` pins this on randomized queries).
+Every query has one implementation, on :class:`TraceCursor`.  A cursor
+(``trace.cursor()``) remembers the last segment it touched and re-locates
+incrementally, which is O(1) amortized for the engine's monotone access
+pattern and falls back to ``bisect`` on random access.  The trace's own
+query methods are a fresh cursor per call, so they find the segment from
+scratch (by ``bisect`` past the first two segments).  The cache only
+changes how the segment index is found, never which one, so a warm cursor
+and the trace return the same floats (``tests/trace/test_trace_cursor.py``
+pins both with golden digests).
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ import numpy as np
 
 from repro.errors import TraceError
 
-__all__ = ["PowerTrace", "PiecewiseConstantTrace", "TraceCursor"]
+__all__ = ["PiecewiseConstantTrace", "TraceCursor"]
 
 #: Whole-period counts at or beyond this are treated as "never": the skip
 #: arithmetic in ``time_to_harvest`` (``n_whole * period``) would overflow
@@ -44,65 +41,14 @@ __all__ = ["PowerTrace", "PiecewiseConstantTrace", "TraceCursor"]
 _MAX_HARVEST_PERIODS = 1e300
 
 
-class PowerTrace:
-    """Interface for harvested input-power traces.
+class PiecewiseConstantTrace:
+    """A harvested input-power trace defined by segment start times and
+    power levels.
 
     A trace maps simulation time (seconds, starting at 0) to harvestable
-    input power :math:`P_{in}` (watts).  Implementations must be defined for
-    all ``t >= 0``; finite recordings repeat cyclically (the paper replays
-    its dataset for the duration of each experiment).
-    """
-
-    def power(self, t: float) -> float:
-        """Instantaneous input power (W) at time ``t`` seconds."""
-        raise NotImplementedError
-
-    def integrate(self, t0: float, t1: float) -> float:
-        """Energy (J) harvested over ``[t0, t1]``."""
-        raise NotImplementedError
-
-    def next_boundary(self, t: float) -> float:
-        """First time strictly after ``t`` at which power may change.
-
-        Returns ``math.inf`` for traces that never change.  The engine uses
-        this to bound the span over which power can be treated as constant.
-        """
-        raise NotImplementedError
-
-    def time_to_harvest(self, t0: float, energy: float) -> float:
-        """Duration after ``t0`` needed to harvest ``energy`` joules.
-
-        Returns ``math.inf`` if the trace can never accumulate that much
-        energy (e.g. power is zero forever after ``t0``).  This implements
-        the recharge wait: a depleted device sleeps until the harvester
-        refills the storage element to its restart threshold.
-        """
-        raise NotImplementedError
-
-    def span_at(self, t: float) -> tuple[float, float]:
-        """``(power(t), next_boundary(t))`` as one query.
-
-        The engine's span loop needs both values at every breakpoint; fused
-        implementations (:class:`TraceCursor`) answer with a single segment
-        lookup.  The default delegates to the two stateless methods.
-        """
-        return self.power(t), self.next_boundary(t)
-
-    def cursor(self) -> "PowerTrace":
-        """A stateful accessor optimized for monotone time queries.
-
-        The default implementation returns the trace itself (stateless
-        queries are always valid); :class:`PiecewiseConstantTrace` returns a
-        :class:`TraceCursor`.  Callers may rely on the returned object
-        exposing ``power``/``integrate``/``next_boundary``/
-        ``time_to_harvest``/``span_at`` with results identical to the
-        trace's own.
-        """
-        return self
-
-
-class PiecewiseConstantTrace(PowerTrace):
-    """A trace defined by segment start times and power levels.
+    input power :math:`P_{in}` (watts) for all ``t >= 0``; finite
+    recordings repeat cyclically (the paper replays its dataset for the
+    duration of each experiment).
 
     Parameters
     ----------
@@ -298,127 +244,41 @@ class PiecewiseConstantTrace(PowerTrace):
         """Minimum power level (W) appearing in the trace."""
         return float(self._powers.min())
 
-    # -- core interface --------------------------------------------------------
+    # -- queries (each one a fresh TraceCursor) ------------------------------
 
     def cursor(self) -> "TraceCursor":
         """A :class:`TraceCursor` over this trace (O(1) monotone queries)."""
         return TraceCursor(self)
 
-    def _fold(self, t: float) -> tuple[float, int]:
-        """Map absolute time onto (offset within one period, whole periods)."""
-        if t < 0:
-            raise TraceError(f"trace queried at negative time {t}")
-        if self._period is None:
-            return t, 0
-        k = math.floor(t / self._period)
-        local = t - k * self._period
-        # Guard against float round-off pushing local to == period.
-        if local >= self._period:
-            local -= self._period
-            k += 1
-        return local, k
-
-    def _segment_index(self, local_t: float) -> int:
-        return bisect.bisect_right(self._times_list, local_t) - 1
-
     def power(self, t: float) -> float:
-        local, _ = self._fold(t)
-        return float(self._powers[self._segment_index(local)])
+        """Instantaneous input power (W) at time ``t`` seconds."""
+        return TraceCursor(self).power(t)
 
     def next_boundary(self, t: float) -> float:
-        local, k = self._fold(t)
-        idx = self._segment_index(local)
-        if idx + 1 < len(self._times_list):
-            nxt_local = self._times_list[idx + 1]
-        elif self._period is not None:
-            nxt_local = self._period
-        else:
-            return math.inf
-        base = k * self._period if self._period is not None else 0.0
-        nxt = base + nxt_local
-        # Ensure strict progress even under float rounding.
-        if nxt <= t:
-            nxt = math.nextafter(t, math.inf)
-        return nxt
+        """First time strictly after ``t`` at which power may change.
 
-    def _energy_from_zero(self, local_t: float) -> float:
-        """Energy over [0, local_t] within one period (local_t <= period)."""
-        idx = self._segment_index(local_t)
-        return float(
-            self._cum_energy[idx] + self._powers[idx] * (local_t - self._times_list[idx])
-        )
+        Returns ``math.inf`` for a trace that never changes again.  The
+        engine uses this to bound the span over which power is constant.
+        """
+        return TraceCursor(self).next_boundary(t)
+
+    def span_at(self, t: float) -> tuple[float, float]:
+        """``(power(t), next_boundary(t))`` from one segment lookup."""
+        return TraceCursor(self).span_at(t)
 
     def integrate(self, t0: float, t1: float) -> float:
-        if t1 < t0:
-            raise TraceError(f"integrate requires t1 >= t0, got [{t0}, {t1}]")
-        if t1 == t0:
-            return 0.0
-        if self._period is None:
-            # Clamp both endpoints into the defined range; tail power holds.
-            last = self._times_list[-1]
-            e = 0.0
-            a, b = t0, t1
-            if a < last:
-                e += self._energy_from_zero(min(b, last)) - self._energy_from_zero(a)
-            if b > last:
-                e += self._powers[-1] * (b - max(a, last))
-            return e
-        local0, k0 = self._fold(t0)
-        local1, k1 = self._fold(t1)
-        whole = (k1 - k0) * self._energy_per_period
-        return whole + self._energy_from_zero(local1) - self._energy_from_zero(local0)
+        """Energy (J) harvested over ``[t0, t1]``."""
+        return TraceCursor(self).integrate(t0, t1)
 
     def time_to_harvest(self, t0: float, energy: float) -> float:
-        if energy < 0:
-            raise TraceError(f"energy must be non-negative, got {energy}")
-        if energy == 0:
-            return 0.0
-        remaining = energy
-        t = t0
-        # Walk segments; for repeating traces, skip whole periods first.
-        if self._period is not None and self._energy_per_period > 0:
-            # Align to next period boundary, then jump whole periods.
-            local, k = self._fold(t)
-            to_boundary = self._period - local
-            e_to_boundary = self.integrate(t, t + to_boundary)
-            if e_to_boundary < remaining:
-                remaining -= e_to_boundary
-                t = (k + 1) * self._period
-                periods = remaining / self._energy_per_period
-                # A denormal per-period energy can push the whole-period
-                # count (or the skipped time) past float range; the wait is
-                # then beyond any representable horizon.
-                if periods >= _MAX_HARVEST_PERIODS:
-                    return math.inf
-                n_whole = math.floor(periods)
-                skip = n_whole * self._period
-                if math.isinf(skip):
-                    return math.inf
-                t += skip
-                remaining -= n_whole * self._energy_per_period
-                if remaining <= 0:
-                    return t - t0
-        elif self._period is not None and self._energy_per_period == 0:
-            return math.inf
-        # Segment-by-segment walk (bounded: at most one period or tail).
-        guard = 0
-        while remaining > 0:
-            p = self.power(t)
-            nxt = self.next_boundary(t)
-            if math.isinf(nxt):
-                if p <= 0:
-                    return math.inf
-                return (t + remaining / p) - t0
-            span = nxt - t
-            harvest = p * span
-            if harvest >= remaining:
-                return (t + remaining / p) - t0
-            remaining -= harvest
-            t = nxt
-            guard += 1
-            if guard > 10 * len(self._times_list) + 100:
-                raise TraceError("time_to_harvest failed to converge")
-        return t - t0
+        """Duration after ``t0`` needed to harvest ``energy`` joules.
+
+        Returns ``math.inf`` if the trace can never accumulate that much
+        energy (e.g. power is zero forever after ``t0``).  This is the
+        recharge wait: a depleted device sleeps until the harvester refills
+        the storage element to its restart threshold.
+        """
+        return TraceCursor(self).time_to_harvest(t0, energy)
 
     # -- transforms -----------------------------------------------------------
 
@@ -459,12 +319,11 @@ class TraceCursor:
     re-planned from an earlier time) falls back to ``bisect`` and re-seeds
     the cache, so arbitrary access stays correct.
 
-    Every method replicates the exact floating-point operations of the
-    stateless trace method of the same name — same folds, same segment
-    lookup result, same accumulation order — so substituting a cursor for
-    the trace can never change a simulated result, only its cost.  Multiple
-    independent cursors over one trace are fine; the cursor never mutates
-    the trace.
+    The cache decides only how the segment index is found, never which
+    index, so a warm cursor returns exactly the floats of a fresh one (which
+    is what the trace's own query methods are): reusing a cursor can never
+    change a simulated result, only its cost.  Multiple independent cursors
+    over one trace are fine; the cursor never mutates the trace.
     """
 
     __slots__ = ("trace", "_times", "_powers", "_cum", "_n", "_period", "_epp", "_idx")
@@ -488,10 +347,9 @@ class TraceCursor:
     def _seg(self, local: float) -> int:
         """Segment index for a folded time — cached, else bisect.
 
-        Returns exactly ``bisect_right(times, local) - 1`` (including the
-        ``-1`` wrap for a float-pathological negative ``local``, which both
-        list and ndarray indexing resolve to the last segment, matching the
-        stateless path).
+        Returns exactly ``bisect_right(times, local) - 1``, including the
+        ``-1`` for a float-pathological negative ``local``, which indexing
+        resolves to the last segment.
         """
         times = self._times
         n = self._n
@@ -510,7 +368,7 @@ class TraceCursor:
         return idx
 
     def _fold(self, t: float) -> tuple[float, int]:
-        """Identical arithmetic to ``PiecewiseConstantTrace._fold``."""
+        """Map absolute time onto (offset within one period, whole periods)."""
         if t < 0:
             raise TraceError(f"trace queried at negative time {t}")
         period = self._period
@@ -518,72 +376,29 @@ class TraceCursor:
             return t, 0
         k = math.floor(t / period)
         local = t - k * period
+        # Guard against float round-off pushing local to == period.
         if local >= period:
             local -= period
             k += 1
         return local, k
 
-    # -- trace API (bit-identical to the stateless methods) -------------------
+    # -- trace queries ----------------------------------------------------------
 
     def power(self, t: float) -> float:
         local, _ = self._fold(t)
         return self._powers[self._seg(local)]
 
     def next_boundary(self, t: float) -> float:
-        local, k = self._fold(t)
-        idx = self._seg(local)
-        if idx + 1 < self._n:
-            nxt_local = self._times[idx + 1]
-        elif self._period is not None:
-            nxt_local = self._period
-        else:
-            return math.inf
-        base = k * self._period if self._period is not None else 0.0
-        nxt = base + nxt_local
-        if nxt <= t:
-            nxt = math.nextafter(t, math.inf)
-        return nxt
+        return self.span_at(t)[1]
 
     def span_at(self, t: float) -> tuple[float, float]:
         """``(power(t), next_boundary(t))`` with one fold + one lookup.
 
-        Value-identical to calling the two methods separately (both resolve
-        the same segment index), at half the cost — this is the engine's
-        innermost query, so the fold and the cached segment lookup are
-        inlined (same arithmetic and the same cache discipline as
-        ``_fold`` / ``_seg``).
+        The engine inlines this for periodic traces (``_advance_to``) and
+        calls it only for aperiodic ones.
         """
-        period = self._period
-        if period is None:
-            if t < 0:
-                raise TraceError(f"trace queried at negative time {t}")
-            local, k = t, 0
-        else:
-            if t < 0:
-                raise TraceError(f"trace queried at negative time {t}")
-            k = math.floor(t / period)
-            local = t - k * period
-            if local >= period:
-                local -= period
-                k += 1
-        times = self._times
-        n = self._n
-        idx = self._idx
-        if times[idx] <= local:
-            nxt = idx + 1
-            if not (nxt == n or local < times[nxt]):
-                if nxt + 1 == n or local < times[nxt + 1]:
-                    if times[nxt] <= local:
-                        idx = self._idx = nxt
-                    else:
-                        idx = bisect.bisect_right(times, local) - 1
-                        self._idx = idx if idx >= 0 else 0
-                else:
-                    idx = bisect.bisect_right(times, local) - 1
-                    self._idx = idx if idx >= 0 else 0
-        else:
-            idx = bisect.bisect_right(times, local) - 1
-            self._idx = idx if idx >= 0 else 0
+        local, k = self._fold(t)
+        idx = self._seg(local)
         p = self._powers[idx]
         if idx + 1 < self._n:
             nxt_local = self._times[idx + 1]
@@ -593,11 +408,13 @@ class TraceCursor:
             return p, math.inf
         base = k * self._period if self._period is not None else 0.0
         nxt = base + nxt_local
+        # Ensure strict progress even under float rounding.
         if nxt <= t:
             nxt = math.nextafter(t, math.inf)
         return p, nxt
 
     def _energy_from_zero(self, local_t: float) -> float:
+        """Energy over [0, local_t] within one period (local_t <= period)."""
         idx = self._seg(local_t)
         return self._cum[idx] + self._powers[idx] * (local_t - self._times[idx])
 
@@ -607,6 +424,7 @@ class TraceCursor:
         if t1 == t0:
             return 0.0
         if self._period is None:
+            # Clamp both endpoints into the defined range; tail power holds.
             last = self._times[-1]
             e = 0.0
             a, b = t0, t1
@@ -629,7 +447,9 @@ class TraceCursor:
         remaining = energy
         t = t0
         period = self._period
+        # Walk segments; for repeating traces, skip whole periods first.
         if period is not None and self._epp > 0:
+            # Align to the next period boundary, then jump whole periods.
             local, k = self._fold(t)
             to_boundary = period - local
             e_to_boundary = self.integrate(t, t + to_boundary)
@@ -637,8 +457,9 @@ class TraceCursor:
                 remaining -= e_to_boundary
                 t = (k + 1) * period
                 periods = remaining / self._epp
-                # Same overflow guard as the stateless path: a denormal
-                # per-period energy makes the wait unrepresentable.
+                # A denormal per-period energy can push the whole-period
+                # count (or the skipped time) past float range; the wait is
+                # then beyond any representable horizon.
                 if periods >= _MAX_HARVEST_PERIODS:
                     return math.inf
                 n_whole = math.floor(periods)
@@ -651,9 +472,8 @@ class TraceCursor:
                     return t - t0
         elif period is not None and self._epp == 0:
             return math.inf
-        # Fused segment walk: one fold + one cached segment lookup per
-        # segment, instead of the stateless path's two folds + two bisects
-        # (power() then next_boundary()).  Values are identical.
+        # Fused segment walk (bounded: at most one period or the tail), one
+        # fold + one cached segment lookup per segment.
         times = self._times
         powers = self._powers
         n = self._n

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import TraceError
-from repro.trace.power_trace import PowerTrace
+from repro.trace.power_trace import PiecewiseConstantTrace
 
 __all__ = ["TraceSummary", "summarize", "fraction_above", "percentile_power"]
 
@@ -22,25 +22,25 @@ __all__ = ["TraceSummary", "summarize", "fraction_above", "percentile_power"]
 _SAMPLE_PERIOD_S = 1.0
 
 
-def _horizon(trace: PowerTrace, duration_s: float | None) -> float:
+def _horizon(trace: PiecewiseConstantTrace, duration_s: float | None) -> float:
     if duration_s is not None:
         if duration_s <= 0:
             raise TraceError("duration_s must be positive")
         return duration_s
-    period = getattr(trace, "period", None)
-    if period is None:
+    if trace.period is None:
         raise TraceError("duration_s is required for non-repeating traces")
-    return period
+    return trace.period
 
 
-def _samples(trace: PowerTrace, duration_s: float) -> np.ndarray:
+def _samples(trace: PiecewiseConstantTrace, duration_s: float) -> np.ndarray:
     n = max(2, int(round(duration_s / _SAMPLE_PERIOD_S)))
     times = (np.arange(n) + 0.5) * (duration_s / n)
-    return np.array([trace.power(float(t)) for t in times])
+    cursor = trace.cursor()  # the sample times increase monotonically
+    return np.array([cursor.power(float(t)) for t in times])
 
 
 def fraction_above(
-    trace: PowerTrace, threshold_w: float, duration_s: float | None = None
+    trace: PiecewiseConstantTrace, threshold_w: float, duration_s: float | None = None
 ) -> float:
     """Fraction of time the trace delivers at least ``threshold_w``.
 
@@ -55,7 +55,7 @@ def fraction_above(
 
 
 def percentile_power(
-    trace: PowerTrace, percentile: float, duration_s: float | None = None
+    trace: PiecewiseConstantTrace, percentile: float, duration_s: float | None = None
 ) -> float:
     """The ``percentile``-th percentile of the power distribution (W)."""
     if not 0 <= percentile <= 100:
@@ -91,7 +91,9 @@ class TraceSummary:
         )
 
 
-def summarize(trace: PowerTrace, duration_s: float | None = None) -> TraceSummary:
+def summarize(
+    trace: PiecewiseConstantTrace, duration_s: float | None = None
+) -> TraceSummary:
     """Compute a :class:`TraceSummary` over one period (or ``duration_s``)."""
     horizon = _horizon(trace, duration_s)
     samples = _samples(trace, horizon)

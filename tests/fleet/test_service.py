@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.fleet import FleetSpec, run_fleet
+from repro.fleet.checkpoint import FleetCheckpoint
 from repro.sim.telemetry import FleetRecorder
 
 
@@ -15,6 +16,11 @@ def small_spec(**overrides) -> FleetSpec:
                 policies=("QZ", "NA", "TH50"))
     base.update(overrides)
     return FleetSpec(**base)
+
+
+def _stale_version(data: bytes) -> bytes:
+    """An otherwise-intact journal file from an older schema version."""
+    return json.dumps({**json.loads(data), "version": 2}).encode()
 
 
 class TestShardInvariance:
@@ -119,8 +125,9 @@ class TestCheckpointResume:
 
     @pytest.mark.parametrize(
         "damage", [lambda data: data[: len(data) // 2],
-                   lambda data: b"\xff\xfe\x00", lambda data: b"[1]"],
-        ids=["truncated", "non-utf8", "non-object"],
+                   lambda data: b"\xff\xfe\x00", lambda data: b"[1]",
+                   _stale_version],
+        ids=["truncated", "non-utf8", "non-object", "stale-version"],
     )
     def test_truncated_shard_entry_is_recomputed(self, tmp_path, damage):
         spec = small_spec()
@@ -158,13 +165,21 @@ class TestCheckpointResume:
         assert resumed.computed_shards == 1
         assert resumed.rollup == straight.rollup
 
-    @pytest.mark.parametrize("payload",[b"\xff\xfe\x00", b"[1]"],
-                             ids=["non-utf8", "non-object"])
-    def test_unreadable_manifest_refuses_resume(self, tmp_path, payload):
+    @pytest.mark.parametrize(
+        "damage", [lambda data: b"\xff\xfe\x00", lambda data: b"[1]",
+                   _stale_version],
+        ids=["non-utf8", "non-object", "stale-version"],
+    )
+    def test_unreadable_manifest_refuses_resume(self, tmp_path, damage):
         ckpt = str(tmp_path / "journal")
         run_fleet(small_spec(), shards=2, jobs=1, checkpoint=ckpt, stop_after=1)
-        with open(os.path.join(ckpt, "manifest.json"), "wb") as handle:
-            handle.write(payload)
+        checkpoint = FleetCheckpoint(ckpt, small_spec(), 2)
+        assert checkpoint.resumable()
+        with open(checkpoint.manifest_path, "rb") as handle:
+            data = handle.read()
+        with open(checkpoint.manifest_path, "wb") as handle:
+            handle.write(damage(data))
+        assert not checkpoint.resumable()
         with pytest.raises(ConfigurationError, match="no readable manifest"):
             run_fleet(small_spec(), shards=2, jobs=1, checkpoint=ckpt, resume=True)
 

@@ -9,7 +9,6 @@ from repro.errors import ConfigurationError, SchedulingError
 from repro.policies.base import Decision, Policy, SchedulingContext
 from repro.policies.noadapt import NoAdaptPolicy
 from repro.sim.engine import SimulationConfig, SimulationEngine, simulate
-from repro.trace.power_trace import PowerTrace
 from repro.workload.pipelines import build_apollo_app
 
 
@@ -21,8 +20,8 @@ def one_event(duration=20.0, diff=1.0, background=0.0):
     )
 
 
-class _ConstantPowerTrace(PowerTrace):
-    """A complete PowerTrace that is not a PiecewiseConstantTrace."""
+class _ConstantPowerTrace:
+    """Answers every trace query, but is not a PiecewiseConstantTrace."""
 
     def power(self, t):
         return 0.05
