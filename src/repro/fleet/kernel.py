@@ -104,6 +104,11 @@ _R_BLOCK, _R_FAILURE, _R_IDLE = 0, 1, 2
 
 # Policy families with a vector decision path.
 _K_NOADAPT, _K_ALWAYS, _K_BUFFER, _K_POWER = 0, 1, 2, 3
+#: Where each family but NoAdapt starts (and the last one ends) in a
+#: kind-sorted lane list.
+_KIND_EDGES = np.array(
+    (_K_ALWAYS, _K_BUFFER, _K_POWER, _K_POWER + 1), dtype=np.int8
+)
 
 #: Draws fetched per device per refill.  Any chunk size yields the same
 #: stream (``Generator.random(out=)`` over ``n`` slots consumes exactly
@@ -133,9 +138,13 @@ _MIGRATE_LANES = 64
 class KernelStats:
     """Per-phase accounting for one or more vector-kernel invocations.
 
-    Wall-clock fields are seconds.  ``fallback_s`` times all scalar-engine
-    work: envelope exclusions (``scalar_lanes``), in-flight anomaly reruns
-    (``fallback_lanes``) and straggler continuations (``migrated_lanes``).
+    Wall-clock fields are seconds.  ``ctrl_s`` also counts each batch's
+    compactions and its final harvest (results and trace-row release):
+    compaction runs at the loop head, which is the CTRL step, so the three
+    phase timers together cover the whole lockstep loop.  ``fallback_s``
+    times all scalar-engine work: envelope exclusions (``scalar_lanes``),
+    in-flight anomaly reruns (``fallback_lanes``) and straggler
+    continuations (``migrated_lanes``).
     """
 
     lanes: int = 0            #: devices that entered the vector kernel
@@ -423,16 +432,17 @@ _F_CONST_FIELDS = (
     "epp", "diff_p", "bg_diff_p", "sched_end", "hard_end", "hard_end_eps",
     "sleep_p", "capacity", "restart", "overdraw_floor", "th_thresh",
     "pz_thresh",
-    "ml_t0", "ml_t1", "ml_p0", "ml_p1", "fnr0", "fnr1", "fpr0", "fpr1",
-    "prep_t", "prep_p", "radio_t0", "radio_t1", "radio_p0", "radio_p1",
+    "ml_t0", "ml_t1", "radio_t0", "radio_t1",
+    "ml_p0", "ml_p1", "radio_p0", "radio_p1",
+    "fnr0", "fnr1", "fpr0", "fpr1", "prep_t", "prep_p",
     "energy",
 )
 #: float64 rows that start at zero (clock, span registers, float metrics).
-#: seg_nb/seg_p belong to the incremental segment cursor (see
+#: seg_nb/seg_p belong to the cached segment cursor (see
 #: ``_seg_advance``) and are re-seeded by ``__init__``.
 _F_DYN_FIELDS = (
     "now", "adv_target", "adv_draw", "adv_stop", "rech_start",
-    "blk_rem", "blk_start", "task_t0", "task_t1", "task_p0", "task_p1",
+    "blk_rem", "blk_start", "task_p",
     "seg_nb", "seg_p", "next_cap", "ev_next_start", "ev_cur_end",
     "m_energy_harvested", "m_energy_consumed", "m_recharge_time", "m_sim_end",
 )
@@ -441,10 +451,9 @@ _F_FIELDS = _F_CONST_FIELDS + _F_DYN_FIELDS
 #: int64 rows: cursors, buffer occupancy, and integer metric counters.
 _I_FIELDS = (
     "cap_idx", "cap_pos", "cap_fill", "cls_pos", "cls_fill",
-    "occ", "ev_idx", "exec_slot", "seg",
-    "m_captures_active", "m_captures_interesting",
-    "m_stored", "m_ibo_drops", "m_ibo_drops_interesting",
-    "m_jobs_completed", "m_jobs_degraded", "m_false_negatives",
+    "occ", "head", "ev_idx",
+    "m_captures_interesting", "m_ibo_drops", "m_ibo_drops_interesting",
+    "m_false_negatives",
     "m_true_negatives", "m_packets_ih", "m_packets_il",
     "m_packets_uh", "m_packets_ul", "m_power_failures",
     "m_policy_invocations", "m_leftover_total", "m_leftover_interesting",
@@ -453,14 +462,30 @@ _I_FIELDS = (
 )
 
 #: int8 rows: small enums.
-_B_FIELDS = ("state", "kind", "adv_cont", "rech_cont", "n_tasks",
-             "cur_task", "exec_job")
+_B_FIELDS = ("state", "kind", "adv_cont", "rech_cont", "cur_task",
+             "exec_job")
 
 #: bool rows: flags and per-lane constants consumed as masks.
 #: exec_deg doubles as the low-quality-option flag: the planner always
 #: picks the degraded option exactly when the policy degraded the job.
-_M_FIELDS = ("anomaly", "migrated", "adv_has_stop", "exec_pos", "exec_deg",
-             "exec_int", "radio_hiq0", "radio_hiq1", "ev_cur_int")
+_M_FIELDS = ("anomaly", "migrated", "exec_pos", "exec_deg", "exec_int",
+             "radio_hiq0", "radio_hiq1", "ev_cur_int")
+
+#: Row blocks read or written at a computed row offset, so one 2D gather
+#: or scatter serves every variant.  With ``j`` the job (0 detect, 1
+#: transmit) and ``d`` the degrade flag: the planned option's duration
+#: and power sit at ``_OPT_T``/``_OPT_P + 2*j + d``, the classifier's
+#: error rates at ``_FNR``/``_FPR + d``, the radio-quality flag at
+#: ``_HIQ + d``, and the option counter at ``_OPTC + 2*j + d``.
+#: ``_OUTCOME`` starts the six counters a finished job that leaves the
+#: buffer books one of: FN, TN, then packets IH, IL, UH, UL.
+_OPT_T = _F_FIELDS.index("ml_t0")
+_OPT_P = _F_FIELDS.index("ml_p0")
+_FNR = _F_FIELDS.index("fnr0")
+_FPR = _F_FIELDS.index("fpr0")
+_OPTC = _I_FIELDS.index("optc_ml_hi")
+_OUTCOME = _I_FIELDS.index("m_false_negatives")
+_HIQ = _M_FIELDS.index("radio_hiq0")
 
 #: 2D per-lane arrays compacted by row selection alongside the matrices.
 #: Trace tables stay lane-major: lane sim-times diverge by hours, so a
@@ -470,7 +495,7 @@ _M_FIELDS = ("anomaly", "migrated", "adv_has_stop", "exec_pos", "exec_deg",
 #: leaves them in place and every gather goes through the ``trow``
 #: row-indirection instead — that keeps compaction O(hot state), cheap
 #: enough to run aggressively.
-_ROW_ARRAYS = ("buf_t", "buf_int", "buf_job", "buf_used")
+_ROW_ARRAYS = ("buf_t", "buf_int", "buf_job")
 #: The lane-minor (transposed) tables — RNG draw chunks and event
 #: tables — are likewise left full-size behind ``trow``.  Draw positions
 #: and event cursors are near-synchronized across lanes (every lane
@@ -524,14 +549,14 @@ def _lane_float_consts(lane: _Lane) -> tuple:
         th,
         pz,
         ml_hi.cost.t_exe_s, ml_lo.cost.t_exe_s,
+        radio_hi.cost.t_exe_s, radio_lo.cost.t_exe_s,
         ml_hi.cost.p_exe_w, ml_lo.cost.p_exe_w,
+        radio_hi.cost.p_exe_w, radio_lo.cost.p_exe_w,
         ml_hi.metadata["ml"].false_negative_rate,
         ml_lo.metadata["ml"].false_negative_rate,
         ml_hi.metadata["ml"].false_positive_rate,
         ml_lo.metadata["ml"].false_positive_rate,
         prep_opt.cost.t_exe_s, prep_opt.cost.p_exe_w,
-        radio_hi.cost.t_exe_s, radio_lo.cost.t_exe_s,
-        radio_hi.cost.p_exe_w, radio_lo.cost.p_exe_w,
         storage._energy,
     )
 
@@ -577,10 +602,10 @@ class _VectorBatch:
         # float reproduce the engine's int * float / int / int arithmetic.
         self.CAPP = float(lanes[0].sim.capture_period_s)
         self.BUFL = float(C)
-        # Trace grid: times[i] == float(i); padded with the period so the
-        # next-boundary gather (seg + 1) never branches on the last segment.
+        # Trace grid: times[i] == float(i), and the period is float(N), so
+        # the boundary after segment ``seg`` is ``seg + 1`` even for the
+        # last segment.
         self.times1d = np.arange(N, dtype=f8)
-        self.times_ext = np.arange(N + 1, dtype=f8)
 
         # -- packed hot-state matrices --
         self.F = np.zeros((len(_F_FIELDS), D), dtype=f8)
@@ -673,12 +698,14 @@ class _VectorBatch:
         # grid segment has length exactly 1.0).
         self.seg_nb[:] = 1.0
         self.seg_p[:] = self.powers[:, 0]
-        # Buffer SoA: +inf capture time marks a free slot, so FCFS selection
-        # and free-slot search are both argmins.
-        self.buf_t = np.full((D, C), np.inf, dtype=f8)
+        # Buffer SoA, one FIFO ring per lane: captures append at slot
+        # ``(head + occ) % C``, and FCFS always executes (then retags or
+        # frees) the oldest input, the one at ``head``.  Freeing a slot
+        # clears its ``buf_int`` and ``buf_job``, so a row sum counts the
+        # pending interesting inputs and a capture lands as a detection.
+        self.buf_t = np.zeros((D, C), dtype=f8)
         self.buf_int = np.zeros((D, C), dtype=bool)
         self.buf_job = np.zeros((D, C), dtype=np.int8)
-        self.buf_used = np.zeros((D, C), dtype=bool)
         # Chunked RNG draws, lane-minor (capture draws are near-synchronized
         # across lanes, so one tick reads a mostly-contiguous row) and
         # double-buffered: two chunk planes per lane, indexed by the
@@ -801,11 +828,11 @@ class _VectorBatch:
         prefix sum of ``_init_from_validated``, whose durations are all
         exactly 1.0 on the integer grid, so bit-identical to the trace's
         ``_cum_energy``.  Rows never read stay untouched pages."""
-        built = self.cum_built[rows]
-        if not built.all():
-            for row in rows[~built].tolist():  # in place: no temporaries
+        unbuilt = rows[~self.cum_built[rows]]
+        if unbuilt.size:
+            for row in unbuilt.tolist():  # in place: no temporaries
                 np.cumsum(self.powers[row, :-1], out=self.cum[row, 1:])
-            self.cum_built[rows] = True
+            self.cum_built[unbuilt] = True
 
     def _release(self, rows) -> None:
         """Mark trace rows dead and return to the OS the whole pages inside
@@ -841,11 +868,11 @@ class _VectorBatch:
     def _loop_head(self, i: int) -> tuple:
         """Column ``i``'s lane and ``SimulationEngine.resume_at`` arguments."""
         lane = self._detach(i)
-        used = self.buf_used[i].nonzero()[0]
+        head = int(self.head[i])
         pending = [
             (float(self.buf_t[i, s]), bool(self.buf_int[i, s]),
              TRANSMIT_JOB if self.buf_job[i, s] else DETECT_JOB)
-            for s in used[np.argsort(self.buf_t[i, used])]
+            for s in ((head + j) % self.C for j in range(int(self.occ[i])))
         ]
         return lane, (
             float(self.now[i]), float(self.energy[i]), self._metrics(i),
@@ -878,70 +905,49 @@ class _VectorBatch:
         """Engine ``_finalize``: freeze sim_end and count leftovers."""
         self.m_sim_end[lanes] = self.now[lanes]
         self.m_leftover_total[lanes] = self.occ[lanes]
-        self.m_leftover_interesting[lanes] = (
-            (self.buf_int[lanes] & self.buf_used[lanes]).sum(axis=1)
-        )
+        self.m_leftover_interesting[lanes] = self.buf_int[lanes].sum(axis=1)
         self.state[lanes] = _DONE
 
-    def _seg_advance(self, lanes) -> None:
-        """Catch the segment cursor up to each lane's clock (monotone).
+    def _seg_advance(self, behind) -> None:
+        """Move the segment cursor of lanes ``behind``, whose clocks reached
+        their cached boundary (engine ``_advance_to``'s span cache).
 
         Replaces TraceCursor.span_at: after this, ``seg_p[lane]`` is the
         segment power at ``now`` and ``seg_nb[lane]`` the next boundary,
-        with ``now < seg_nb`` (the scalar path's ``nb <= t`` nextafter
-        guard cannot trigger on the integer grid, where every boundary
-        value is an exactly-represented integer).  Clocks only move
-        forward, and almost always by one segment per iteration, so the
-        catch-up is a subset walk with per-lane sequential trace reads;
-        lanes that jumped far (post-recharge) fall back to one direct
-        fold after a few passes.  Bit-exact: boundaries are integers
-        below 2**53, so ``+= 1.0`` equals the scalar ``k*period +
-        times[seg+1]`` arithmetic, and ``seg_p`` gathers the same table.
+        with ``now < seg_nb``.  One direct fold, the engine's own: ``local
+        = now - k*period`` is exact (Sterbenz), so the truncated segment is
+        the engine's ``bisect`` result and ``k*period + times[seg+1]`` an
+        exactly-represented integer above ``now`` (the scalar path's ``nb
+        <= t`` nextafter guard cannot trigger on the integer grid).
         """
-        behind = lanes[self.now[lanes] >= self.seg_nb[lanes]]
-        passes = 0
-        while behind.size:
-            passes += 1
-            if passes > 4:
-                # Far behind: one direct fold (same truncation-as-floor
-                # lookup the dense span evaluation used).
-                t = self.now[behind]
-                local, k = self._fold(t)
-                seg = local.astype(np.intp)
-                self.seg[behind] = seg
-                self.seg_nb[behind] = k * self.PERIOD + self.times_ext[seg + 1]
-                self.seg_p[behind] = self.powers[self.trow[behind], seg]
-                return
-            seg = self.seg[behind] + 1
-            wrap = seg == self.N
-            if wrap.any():
-                seg = np.where(wrap, 0, seg)
-            self.seg[behind] = seg
-            self.seg_nb[behind] += 1.0
+        if behind.size:
+            local, k = self._fold(self.now[behind])
+            seg = local.astype(np.intp)
+            self.seg_nb[behind] = k * self.PERIOD + (seg + 1)
             self.seg_p[behind] = self.powers[self.trow[behind], seg]
-            behind = behind[self.now[behind] >= self.seg_nb[behind]]
 
     def _fold(self, t):
-        """TraceCursor._fold, vectorized (k kept as float64)."""
-        k = np.floor(t / self.PERIOD)
-        local = t - k * self.PERIOD
-        adjust = local >= self.PERIOD
-        if adjust.any():
-            local = np.where(adjust, local - self.PERIOD, local)
-            k = np.where(adjust, k + 1.0, k)
-        return local, k
+        """TraceCursor._fold, vectorized (k kept as float64).
 
-    def _efz(self, lanes, local):
-        """TraceCursor._energy_from_zero: cum[idx] + p[idx]*(local-times[idx]).
+        The scalar ``local >= period`` round-off guard cannot fire here:
+        rounding is monotone and integers are exact, so ``k = floor(t /
+        period)`` never falls below the true quotient's floor, and ``t -
+        k*period`` is then exact (Sterbenz) and below ``period``
+        (``tests/fleet/test_kernel.py`` checks the fold against the
+        cursor's).
+        """
+        k = np.floor(t / self.PERIOD)
+        return t - k * self.PERIOD, k
+
+    def _efz(self, rows, local):
+        """TraceCursor._energy_from_zero: cum[idx] + p[idx]*(local-times[idx])
+        over trace rows ``rows``.
 
         ``local`` is a folded offset in [0, PERIOD), so truncation equals
-        the scalar path's clipped floor.
+        the scalar path's clipped floor, and ``times[idx] == idx``.
         """
         seg = local.astype(np.intp)
-        rows = self.trow[lanes]
-        return self.cum[rows, seg] + self.powers[rows, seg] * (
-            local - self.times1d[seg]
-        )
+        return self.cum[rows, seg] + self.powers[rows, seg] * (local - seg)
 
     def _refill(self, pos, fill, rngs, table, chunk) -> None:
         """Cohort-batched, double-buffered chunk refill (see _CLS_CHUNK note).
@@ -975,7 +981,7 @@ class _VectorBatch:
     def _draw_caps(self, lanes):
         """One differencing-filter draw per lane (chunked like the engine)."""
         pos = self.cap_pos[lanes]
-        if (pos == self.cap_fill[lanes]).any():
+        if np.count_nonzero(pos == self.cap_fill[lanes]):
             self._refill(
                 self.cap_pos, self.cap_fill, self.cap_rngs,
                 self.cap_chunk, _CAP_CHUNK,
@@ -987,7 +993,7 @@ class _VectorBatch:
     def _draw_cls(self, lanes):
         """One classification draw per lane (engine draws these singly)."""
         pos = self.cls_pos[lanes]
-        if (pos == self.cls_fill[lanes]).any():
+        if np.count_nonzero(pos == self.cls_fill[lanes]):
             self._refill(
                 self.cls_pos, self.cls_fill, self.cls_rngs,
                 self.cls_chunk, _CLS_CHUNK,
@@ -998,7 +1004,7 @@ class _VectorBatch:
 
     # ------------------------------------------------------------- captures --
 
-    def _fire_due_captures(self, lanes, t, limit=None) -> None:
+    def _fire_due_captures(self, lanes, t, limit) -> None:
         """Engine ``_fire_due_captures`` fast body, one tick per pass.
 
         Callers pass ``t = cap_idx * CAPP`` for lanes they already proved
@@ -1006,8 +1012,6 @@ class _VectorBatch:
         those lanes' post-advance clocks; later passes re-derive dueness
         against ``limit`` for the rare multi-tick catch-up.
         """
-        if limit is None:
-            limit = self.now[lanes]
         while True:
             # captures_total is not counted here: every fired tick bumps
             # ``cap_idx`` below, so it is always ``cap_idx - 1`` (both
@@ -1023,7 +1027,7 @@ class _VectorBatch:
                 ei = self.ev_idx[ml] + 1  # first step already proven due
                 while True:
                     step = self.ev_starts[ei + 1, mr] <= mt
-                    if not step.any():
+                    if not np.count_nonzero(step):
                         break
                     ei = ei + step
                 self.ev_idx[ml] = ei
@@ -1032,13 +1036,14 @@ class _VectorBatch:
                 self.ev_cur_int[ml] = self.ev_int[ei, mr]
             in_event = t < self.ev_cur_end[lanes]
             draws = self._draw_caps(lanes)
-            if in_event.any():
+            if np.count_nonzero(in_event):
                 ev_interesting = in_event & self.ev_cur_int[lanes]
                 active = draws < np.where(
                     in_event, self.diff_p[lanes], self.bg_diff_p[lanes]
                 )
                 interesting = active & ev_interesting
-                if ev_interesting.any():  # all-zero adds are pure overhead
+                # All-zero adds are pure overhead.
+                if np.count_nonzero(ev_interesting):
                     self.m_captures_interesting[lanes] += interesting
             else:
                 active = draws < self.bg_diff_p[lanes]
@@ -1048,12 +1053,15 @@ class _VectorBatch:
                 a_lanes = lanes[act]
                 a_int = interesting[act]
                 a_t = t[act]
-                self.m_captures_active[a_lanes] += 1
-                full = self.occ[a_lanes] >= self.C
+                # Neither captures_active nor stored is counted: every
+                # stored input is still buffered or left it as a negative
+                # or a packet, and every active capture is stored or
+                # dropped (``_metrics`` sums them).
+                occ = self.occ[a_lanes]
+                full = occ >= self.C
                 if self._trace is not None:
                     rows = self._trace_rows
                     dev = self._trace_dev[self.trow[a_lanes]]
-                    occ = self.occ[a_lanes]
                     en = self.energy[a_lanes]
                     for j in range(act.size):
                         rows.append((
@@ -1075,15 +1083,14 @@ class _VectorBatch:
                 ins = (~full).nonzero()[0]
                 if ins.size:
                     i_lanes = a_lanes[ins]
-                    slot = np.argmin(self.buf_used[i_lanes], axis=1)
-                    self.buf_used[i_lanes, slot] = True
+                    i_occ = occ[ins]
+                    slot = (self.head[i_lanes] + i_occ) % self.C
                     self.buf_t[i_lanes, slot] = a_t[ins]
                     self.buf_int[i_lanes, slot] = a_int[ins]
-                    self.buf_job[i_lanes, slot] = 0
-                    self.occ[i_lanes] += 1
-                    self.m_stored[i_lanes] += 1
-            self.cap_idx[lanes] += 1
-            t = self.cap_idx[lanes] * self.CAPP
+                    self.occ[i_lanes] = i_occ + 1
+            idx = self.cap_idx[lanes] + 1
+            self.cap_idx[lanes] = idx
+            t = idx * self.CAPP
             self.next_cap[lanes] = t
             due = (t <= limit + TIME_EPSILON).nonzero()[0]
             if not due.size:
@@ -1120,11 +1127,11 @@ class _VectorBatch:
                 return
             lanes = lanes[(~at_end).nonzero()[0]]
         busy = self.occ[lanes] > 0
-        idle = lanes[(~busy).nonzero()[0]]
+        idle = lanes[~busy]
         if idle.size:
             next_cap = self.next_cap[idle]
             over = next_cap > self.sched_end[idle]
-            if over.any():
+            if np.count_nonzero(over):
                 self._finish(idle[over])  # nothing left to capture
                 keep = ~over
                 idle = idle[keep]
@@ -1133,10 +1140,9 @@ class _VectorBatch:
                 self.adv_target[idle] = next_cap
                 self.adv_draw[idle] = self.sleep_p[idle]
                 self.adv_stop[idle] = 0.0
-                self.adv_has_stop[idle] = True
                 self.adv_cont[idle] = _C_IDLE
                 self.state[idle] = _ADV
-        work = lanes[busy.nonzero()[0]]
+        work = lanes[busy]
         if work.size:
             self._decide(work)
 
@@ -1147,7 +1153,7 @@ class _VectorBatch:
         # family is one contiguous run: a searchsorted replaces three
         # mask/nonzero scans and the runs slice for free.
         kind = self.kind[lanes]
-        b = kind.searchsorted((_K_ALWAYS, _K_BUFFER, _K_POWER, _K_POWER + 1))
+        b = kind.searchsorted(_KIND_EDGES)
         degrade = np.zeros(lanes.shape[0], dtype=bool)
         degrade[b[0]:b[1]] = True
         if b[2] > b[1]:
@@ -1156,13 +1162,14 @@ class _VectorBatch:
             degrade[b[1]:b[2]] = fill >= self.th_thresh[t_lanes]
         if b[3] > b[2]:
             p_lanes = lanes[b[2]:b[3]]
-            self._seg_advance(p_lanes)
+            self._seg_advance(
+                p_lanes[self.now[p_lanes] >= self.seg_nb[p_lanes]]
+            )
             degrade[b[2]:b[3]] = self.seg_p[p_lanes] < self.pz_thresh[p_lanes]
-        # FCFS == global argmin capture time (free slots sit at +inf).
-        slot = np.argmin(self.buf_t[lanes], axis=1)
+        # FCFS: the oldest input, at the head of the lane's ring.
+        slot = self.head[lanes]
         job = self.buf_job[lanes, slot]
         interesting = self.buf_int[lanes, slot]
-        self.exec_slot[lanes] = slot
         self.exec_job[lanes] = job
         self.exec_deg[lanes] = degrade
         self.exec_int[lanes] = interesting
@@ -1189,127 +1196,94 @@ class _VectorBatch:
                         float(now[j]), "degradation", int(dev[j]), 0.0,
                         {"job": jname, "option": opt},
                     ))
+        option = 2 * job + degrade
+        self.blk_rem[lanes] = self.F[_OPT_T + option, lanes]
+        self.task_p[lanes] = self.F[_OPT_P + option, lanes]
+        self.cur_task[lanes] = 0
+        # exec_pos stays False for transmits: a positive detection is the
+        # only job with a second task (the conditional prep).
+        self.exec_pos[lanes] = False
         det = (job == 0).nonzero()[0]
         if det.size:
             d_lanes = lanes[det]
             d_deg = degrade[det]
             draws = self._draw_cls(d_lanes)
             # MLModelProfile.classify: interesting -> u >= fnr, else u < fpr.
-            fnr = np.where(d_deg, self.fnr1[d_lanes], self.fnr0[d_lanes])
-            fpr = np.where(d_deg, self.fpr1[d_lanes], self.fpr0[d_lanes])
-            positive = np.where(interesting[det], draws >= fnr, draws < fpr)
-            self.exec_pos[d_lanes] = positive
-            self.task_t0[d_lanes] = np.where(
-                d_deg, self.ml_t1[d_lanes], self.ml_t0[d_lanes]
+            fnr = self.F[_FNR + d_deg, d_lanes]
+            fpr = self.F[_FPR + d_deg, d_lanes]
+            self.exec_pos[d_lanes] = np.where(
+                interesting[det], draws >= fnr, draws < fpr
             )
-            self.task_p0[d_lanes] = np.where(
-                d_deg, self.ml_p1[d_lanes], self.ml_p0[d_lanes]
-            )
-            self.task_t1[d_lanes] = self.prep_t[d_lanes]
-            self.task_p1[d_lanes] = self.prep_p[d_lanes]
-            self.n_tasks[d_lanes] = np.where(positive, 2, 1)
-        tx = (job == 1).nonzero()[0]
-        if tx.size:
-            t_lanes = lanes[tx]
-            t_deg = degrade[tx]
-            self.task_t0[t_lanes] = np.where(
-                t_deg, self.radio_t1[t_lanes], self.radio_t0[t_lanes]
-            )
-            self.task_p0[t_lanes] = np.where(
-                t_deg, self.radio_p1[t_lanes], self.radio_p0[t_lanes]
-            )
-            self.n_tasks[t_lanes] = 1
-        self.cur_task[lanes] = 0
-        self.blk_rem[lanes] = self.task_t0[lanes]
         self._block_top(lanes)
 
     def _block_top(self, lanes) -> None:
-        """Run-block loop head: done / recharge-first / advance."""
+        """Run-block loop head: done / recharge-first / advance.
+
+        A lane whose task just finished starts its job's next task in the
+        same pass (only a positive detection has one, the conditional
+        prep) or completes the job.
+        """
         done = self.blk_rem[lanes] <= TIME_EPSILON
-        if done.any():
-            self._task_done(lanes[done])
-            lanes = lanes[~done]
-        if not lanes.size:
-            return
+        if np.count_nonzero(done):
+            d_lanes = lanes[done]
+            self.cur_task[d_lanes] += 1
+            more = self.exec_pos[d_lanes] & (self.cur_task[d_lanes] == 1)
+            fin = d_lanes[~more]
+            if fin.size:
+                self._complete_job(fin)
+            nxt = d_lanes[more]
+            self.blk_rem[nxt] = self.prep_t[nxt]
+            self.task_p[nxt] = self.prep_p[nxt]
+            lanes = np.concatenate((lanes[~done], nxt))
+            if not lanes.size:
+                return
         low = self.energy[lanes] <= self.THRESHOLD
-        rech = lanes[low]
-        if rech.size:
+        go = lanes
+        if np.count_nonzero(low):
+            rech = lanes[low]
             self.rech_cont[rech] = _R_BLOCK
             self.rech_start[rech] = self.now[rech]
             self.state[rech] = _RECHG
-        go = lanes[~low]
+            go = lanes[~low]
         if go.size:
-            self.blk_start[go] = self.now[go]
-            self.adv_target[go] = self.now[go] + self.blk_rem[go]
-            second = self.cur_task[go] == 1
-            self.adv_draw[go] = np.where(
-                second, self.task_p1[go], self.task_p0[go]
-            )
+            now = self.now[go]
+            self.blk_start[go] = now
+            self.adv_target[go] = now + self.blk_rem[go]
+            self.adv_draw[go] = self.task_p[go]
             self.adv_stop[go] = self.RESERVE
-            self.adv_has_stop[go] = True
             self.adv_cont[go] = _C_TASK
             self.state[go] = _ADV
 
-    def _task_done(self, lanes) -> None:
-        self.cur_task[lanes] += 1
-        more = self.cur_task[lanes] < self.n_tasks[lanes]
-        nxt = lanes[more]
-        if nxt.size:
-            second = self.cur_task[nxt] == 1
-            self.blk_rem[nxt] = np.where(
-                second, self.task_t1[nxt], self.task_t0[nxt]
-            )
-            self._block_top(nxt)
-        fin = lanes[~more]
-        if fin.size:
-            self._complete_job(fin)
-
     def _complete_job(self, lanes) -> None:
-        """_execute_job epilogue: buffer effect, counters, packets."""
-        self.m_jobs_completed[lanes] += 1
+        """_execute_job epilogue: buffer effect, counters, packets.
+
+        jobs_completed and jobs_degraded are not counted: every finished
+        job books exactly one option counter, so they are sums of those.
+        """
         lo = self.exec_deg[lanes]
-        self.m_jobs_degraded[lanes] += lo  # bool upcasts to int64
-        slot = self.exec_slot[lanes]
-        interesting = self.exec_int[lanes]
-        det = (self.exec_job[lanes] == 0).nonzero()[0]
-        if det.size:
-            d_lanes = lanes[det]
-            d_lo = lo[det]
-            self.optc_ml_hi[d_lanes] += ~d_lo
-            self.optc_ml_lo[d_lanes] += d_lo
-            positive = self.exec_pos[d_lanes]
-            pos = positive.nonzero()[0]
-            if pos.size:
-                # Positive: input stays buffered, retagged for transmit.
-                self.buf_job[d_lanes[pos], slot[det][pos]] = 1
-            neg = (~positive).nonzero()[0]
-            if neg.size:
-                n_lanes = d_lanes[neg]
-                n_slot = slot[det][neg]
-                self.buf_used[n_lanes, n_slot] = False
-                self.buf_t[n_lanes, n_slot] = np.inf
-                self.occ[n_lanes] -= 1
-                n_int = interesting[det][neg]
-                self.m_false_negatives[n_lanes] += n_int
-                self.m_true_negatives[n_lanes] += ~n_int
-        tx = (self.exec_job[lanes] == 1).nonzero()[0]
-        if tx.size:
-            t_lanes = lanes[tx]
-            t_lo = lo[tx]
-            self.optc_radio_hi[t_lanes] += ~t_lo
-            self.optc_radio_lo[t_lanes] += t_lo
-            t_slot = slot[tx]
-            self.buf_used[t_lanes, t_slot] = False
-            self.buf_t[t_lanes, t_slot] = np.inf
-            self.occ[t_lanes] -= 1
-            t_int = interesting[tx]
-            high = np.where(
-                t_lo, self.radio_hiq1[t_lanes], self.radio_hiq0[t_lanes]
-            )
-            self.m_packets_ih[t_lanes] += t_int & high
-            self.m_packets_il[t_lanes] += t_int & ~high
-            self.m_packets_uh[t_lanes] += ~t_int & high
-            self.m_packets_ul[t_lanes] += ~t_int & ~high
+        job = self.exec_job[lanes]
+        np.add.at(self.I, (_OPTC + 2 * job + lo, lanes), 1)
+        positive = self.exec_pos[lanes]
+        pos = lanes[positive]
+        if pos.size:
+            # Positive: input stays buffered, retagged for transmit.
+            self.buf_job[pos, self.head[pos]] = 1
+        leave = (~positive).nonzero()[0]
+        if leave.size:
+            # A negative detection or a transmit frees the ring head.
+            l_lanes = lanes[leave]
+            head = self.head[l_lanes]
+            self.buf_int[l_lanes, head] = False
+            self.buf_job[l_lanes, head] = 0
+            self.head[l_lanes] = (head + 1) % self.C
+            self.occ[l_lanes] -= 1
+            # Outcome row: 1 - i for a detection (FN/TN), 5 - 2i - h for a
+            # transmit (packets IH/IL/UH/UL), i interesting, h high quality.
+            l_lo = lo[leave]
+            l_int = self.exec_int[l_lanes].view(np.int8)
+            high = self.M[_HIQ + l_lo, l_lanes].view(np.int8)
+            outcome = 1 - l_int + job[leave] * (4 - l_int - high)
+            np.add.at(self.I, (_OUTCOME + outcome, l_lanes), 1)
         self.state[lanes] = _CTRL
 
     # ---------------------------------------------------------------- advance --
@@ -1331,7 +1305,7 @@ class _VectorBatch:
         reached = m & (now >= self.adv_target - TIME_EPSILON)
         r = reached.nonzero()[0]
         if r.size:
-            self._adv_exit(r, depleted=False)
+            self._adv_exit(r)
             count -= r.size
             if not count:
                 return
@@ -1345,30 +1319,31 @@ class _VectorBatch:
                 return
             m = m & ~at_end
         next_cap = self.next_cap
-        self._seg_advance(m.nonzero()[0])
+        self._seg_advance((m & (now >= self.seg_nb)).nonzero()[0])
         p_in = self.seg_p
         boundary = np.minimum(np.minimum(self.adv_target, next_cap), self.seg_nb)
         boundary = np.minimum(boundary, self.hard_end)
         draw = self.adv_draw
         net = draw - p_in
-        stop = m & self.adv_has_stop & (net > 0.0)
+        # A span without a stop level (save, restore) carries -inf, which
+        # no margin test or depletion time below can act on.
+        stop = m & (net > 0.0)
         depleting = None
-        if stop.any():
+        if np.count_nonzero(stop):
             margin = energy - self.adv_stop
             immediate = stop & (margin <= _ENERGY_EPS)
             im = immediate.nonzero()[0]
             if im.size:
                 # No headroom at span entry: stop without advancing.
-                self._adv_exit(im, depleted=True)
+                self._adv_exit(im, immediate)
                 count -= im.size
                 if not count:
                     return
                 m = m & ~immediate
                 stop = stop & ~immediate
-            if stop.any():
-                t_depleted = now + margin / net
-                depleting = stop & (t_depleted < boundary - TIME_EPSILON)
-                boundary = np.where(depleting, t_depleted, boundary)
+            t_depleted = now + margin / net
+            depleting = stop & (t_depleted < boundary - TIME_EPSILON)
+            boundary = np.where(depleting, t_depleted, boundary)
         # The engine's span accounting (Supercapacitor.draw / .harvest
         # arithmetic), fused.  With dtz = 0 every update below is an
         # identity (consumed/harvested add 0, stored clamps to 0,
@@ -1411,37 +1386,43 @@ class _VectorBatch:
         d = (m & (next_cap <= boundary + TIME_EPSILON)).nonzero()[0]
         if d.size:
             self._fire_due_captures(d, next_cap[d], boundary[d])
-        if depleting is not None:
-            dep = depleting.nonzero()[0]
-            if dep.size:
-                self._adv_exit(dep, depleted=True)
-                m = m & ~depleting
         # Spans that just reached their target exit in the same pass: the
         # scalar engine has no iteration boundary between reaching a span
         # end and running its continuation, so dispatching now (instead
         # of letting the next call's reached-check do it) preserves each
-        # lane's op sequence while halving the passes per span.
-        arrived = m & (now >= self.adv_target - TIME_EPSILON)
-        arr = arrived.nonzero()[0]
-        if arr.size:
-            self._adv_exit(arr, depleted=False)
+        # lane's op sequence while halving the passes per span.  Depleted
+        # spans stopped short of their target, so the two sets are
+        # disjoint and share one dispatch.
+        exits = m & (now >= self.adv_target - TIME_EPSILON)
+        if depleting is not None and np.count_nonzero(depleting):
+            exits |= depleting
+        else:
+            depleting = None
+        ex = exits.nonzero()[0]
+        if ex.size:
+            self._adv_exit(ex, depleting)
 
-    def _adv_exit(self, lanes, depleted: bool) -> None:
-        """Dispatch a finished span to its continuation.
+    def _adv_exit(self, lanes, depleted=None) -> None:
+        """Dispatch finished spans to their continuations.
 
-        One bincount decides which continuations are present, so absent
-        ones cost nothing instead of a compare + scan each.
+        ``depleted`` is None or a full-width mask of the columns whose span
+        stopped at its energy floor rather than its target.  One bincount
+        decides which continuations are present, so absent ones cost
+        nothing instead of a compare + scan each, and every lane that
+        continues a run block (a task or a finished restore) goes through
+        one ``_block_top`` call.
         """
         cont = self.adv_cont[lanes]
         cnt = np.bincount(cont, minlength=4)
+        blocks = []
         if cnt[_C_TASK]:
             task = lanes[cont == _C_TASK]
             # Run-block loop: remaining -= now - start, then maybe a failure.
             self.blk_rem[task] = self.blk_rem[task] - (
                 self.now[task] - self.blk_start[task]
             )
-            if depleted:
-                failing = self.blk_rem[task] > TIME_EPSILON
+            if depleted is not None:
+                failing = depleted[task] & (self.blk_rem[task] > TIME_EPSILON)
                 fail = task[failing]
                 if fail.size:
                     # _power_failure: count it, then pay the save cost.
@@ -1457,14 +1438,11 @@ class _VectorBatch:
                             ))
                     self.adv_target[fail] = self.now[fail] + self.SAVE_T
                     self.adv_draw[fail] = self.SAVE_P
-                    self.adv_has_stop[fail] = False
+                    self.adv_stop[fail] = -np.inf
                     self.adv_cont[fail] = _C_SAVE
                     self.state[fail] = _ADV
-                done = task[~failing]
-                if done.size:
-                    self._block_top(done)
-            else:
-                self._block_top(task)
+                    task = task[~failing]
+            blocks.append(task)
         if cnt[_C_SAVE]:
             save = lanes[cont == _C_SAVE]
             if self._trace is not None:
@@ -1491,16 +1469,21 @@ class _VectorBatch:
                         float(now[j]) - self.REST_T, "restore",
                         int(dev[j]), self.REST_T, {},
                     ))
-            self._block_top(rest)
+            blocks.append(rest)
+        if blocks:
+            self._block_top(np.concatenate(blocks) if len(blocks) > 1 else blocks[0])
         if cnt[_C_IDLE]:
             idle = lanes[cont == _C_IDLE]
-            if depleted:
+            if depleted is not None:
                 # Sleep-state brownout: wait for restart, then resume idling.
-                self.rech_cont[idle] = _R_IDLE
-                self.rech_start[idle] = self.now[idle]
-                self.state[idle] = _RECHG
-            else:
-                self.state[idle] = _CTRL
+                brown = depleted[idle]
+                out = idle[brown]
+                if out.size:
+                    self.rech_cont[out] = _R_IDLE
+                    self.rech_start[out] = self.now[out]
+                    self.state[out] = _RECHG
+                    idle = idle[~brown]
+            self.state[idle] = _CTRL
 
     # --------------------------------------------------------------- recharge --
 
@@ -1542,9 +1525,9 @@ class _VectorBatch:
         now = self.now[lanes]
         next_cap = self.next_cap[lanes]
         hard = self.hard_end[lanes]
-        cap = np.where(next_cap < hard, next_cap, hard)
+        cap = np.minimum(next_cap, hard)
         e_cap = self._integrate_vec(lanes, now, cap)
-        boundary = cap  # np.where above returned a fresh writable array
+        boundary = cap  # np.minimum above returned a fresh writable array
         harvested = e_cap
         finishing = (~(e_cap < deficit)).nonzero()[0]
         if finishing.size:
@@ -1553,26 +1536,16 @@ class _VectorBatch:
             # elementwise over the finishing subset.
             fin = lanes[finishing]
             t0 = now[finishing]
-            wait = self._time_to_harvest_vec(fin, t0, deficit[finishing])
-            bnd = t0 + wait
-            nc = next_cap[finishing]
-            bnd = np.where(nc < bnd, nc, bnd)
-            hd = hard[finishing]
-            bnd = np.where(hd < bnd, hd, bnd)
+            wait = self._time_to_harvest_vec(
+                fin, t0, deficit[finishing], cap[finishing]
+            )
+            bnd = np.minimum(
+                np.minimum(t0 + wait, next_cap[finishing]), hard[finishing]
+            )
             boundary[finishing] = bnd
             harvested[finishing] = self._integrate_vec(fin, t0, bnd)
-            # The walk anomalizes non-converging lanes (never in practice).
-            alive = self.state[lanes] == _RECHG
-            if not alive.all():
-                keep = alive.nonzero()[0]
-                lanes = lanes[keep]
-                if not lanes.size:
-                    return
-                boundary = boundary[keep]
-                harvested = harvested[keep]
-                next_cap = next_cap[keep]
         negative = harvested < 0.0
-        if negative.any():
+        if np.count_nonzero(negative):
             self._anomalize(lanes[negative])
             keep = (~negative).nonzero()[0]
             lanes = lanes[keep]
@@ -1583,7 +1556,7 @@ class _VectorBatch:
             next_cap = next_cap[keep]
         energy = self.energy[lanes]
         headroom = self.capacity[lanes] - energy
-        stored = np.where(harvested < headroom, harvested, headroom)
+        stored = np.minimum(harvested, headroom)
         self.energy[lanes] = energy + stored
         self.m_energy_harvested[lanes] += stored
         self.now[lanes] = boundary
@@ -1614,7 +1587,7 @@ class _VectorBatch:
             # _power_failure: pay the restore cost, then back to the block.
             self.adv_target[fail] = self.now[fail] + self.REST_T
             self.adv_draw[fail] = self.REST_P
-            self.adv_has_stop[fail] = False
+            self.adv_stop[fail] = -np.inf
             self.adv_cont[fail] = _C_RESTORE
             self.state[fail] = _ADV
         if cnt[_R_IDLE]:
@@ -1624,7 +1597,6 @@ class _VectorBatch:
             if back.size:
                 self.adv_draw[back] = self.sleep_p[back]
                 self.adv_stop[back] = 0.0
-                self.adv_has_stop[back] = True
                 self.adv_cont[back] = _C_IDLE
                 self.state[back] = _ADV
             arrived = idle[~resume]
@@ -1638,95 +1610,90 @@ class _VectorBatch:
 
         ``k`` stays float64: the fold keeps it integer-valued and far below
         2**53, so ``k * period`` and ``(k1 - k0) * epp`` are bit-equal to
-        the scalar int-arithmetic (the ``_fold`` precedent).
+        the scalar int-arithmetic (the ``_fold`` precedent).  Both ends
+        fold and look up in one pass.  The scalar ``t1 == t0`` shortcut
+        needs no mask: equal ends give equal ``k`` and ``e``, so the sum
+        below is ``(0.0 + e) - e``, already the shortcut's ``0.0``.
         """
-        local0, k0 = self._fold(t0)
-        e0 = self._efz(lanes, local0)
-        local1, k1 = self._fold(t1)
-        e1 = self._efz(lanes, local1)
-        out = (k1 - k0) * self.epp[lanes] + e1 - e0
-        zero = t1 == t0
-        if zero.any():
-            out = np.where(zero, 0.0, out)
-        return out
+        n = t0.shape[0]
+        local, k = self._fold(np.concatenate((t0, t1)))
+        rows = self.trow[lanes]
+        e = self._efz(np.concatenate((rows, rows)), local)
+        return (k[n:] - k[:n]) * self.epp[lanes] + e[n:] - e[:n]
 
-    def _time_to_harvest_vec(self, lanes, t0, energy):
-        """TraceCursor.time_to_harvest replayed elementwise over ``lanes``.
+    def _time_to_harvest_vec(self, lanes, t0, energy, cap):
+        """TraceCursor.time_to_harvest replayed elementwise over ``lanes``,
+        for positive deficits ``energy`` that ``_rech`` found harvestable
+        by each lane's tick end ``cap``.
 
         The scalar routine is a periodic fast path (whole-period skip) plus
         a fused segment walk; here every lane advances one segment per
-        lockstep pass under a shrinking mask, preserving each lane's own
-        op sequence exactly.  ``epp > 0`` is guaranteed by eligibility, so
-        the starvation branch cannot trigger; where the scalar code would
-        raise on non-convergence, the vector path anomalizes the lane so
-        it falls back to the scalar engine instead of sinking the batch.
+        lockstep pass, preserving each lane's own op sequence exactly.
+        ``epp > 0`` is guaranteed by eligibility, so the starvation branch
+        cannot trigger; where the scalar code would raise on
+        non-convergence, the vector path anomalizes the lane so it falls
+        back to the scalar engine instead of sinking the batch (the caller
+        finishes the tick on it: an anomalized lane's state is discarded).
         """
         period = self.PERIOD
-        epp = self.epp[lanes]
-        out = np.zeros(lanes.shape[0], dtype=np.float64)
-        active = energy != 0.0
-        remaining = energy.copy()
-        t = t0.copy()
-        # Whole-period skip.  Masked-out columns ride along; their garbage
-        # (inf - inf, etc.) is discarded by the where-blends.
-        local, k = self._fold(t)
-        to_boundary = period - local
-        e_to_boundary = self._integrate_vec(lanes, t, t + to_boundary)
-        skipping = active & (e_to_boundary < remaining)
-        if skipping.any():
-            remaining = np.where(skipping, remaining - e_to_boundary, remaining)
-            t = np.where(skipping, (k + 1.0) * period, t)
-            periods = remaining / epp
-            n_whole = np.floor(periods)
-            skip = n_whole * period
-            never = skipping & (
-                (periods >= _MAX_HARVEST_PERIODS) | np.isinf(skip)
-            )
-            if never.any():
-                out = np.where(never, np.inf, out)
-                active = active & ~never
-                skipping = skipping & ~never
-            t = np.where(skipping, t + skip, t)
-            remaining = np.where(skipping, remaining - n_whole * epp, remaining)
-            done = skipping & (remaining <= 0.0)
-            if done.any():
-                out = np.where(done, t - t0, out)
-                active = active & ~done
-        # Fused segment walk, one segment per pass in lockstep.
-        walk = active & (remaining > 0.0)
-        guard = 0
-        limit = 10 * self.N + 100
-        while True:
-            w = walk.nonzero()[0]
+        n = lanes.shape[0]
+        out = np.zeros(n, dtype=np.float64)
+        w, tw, rw = self._ar[:n], t0, energy  # the lanes still walking
+        local, k = self._fold(t0)
+        period_end = t0 + (period - local)
+        # Whole-period skip: it fires where the energy up to the period
+        # boundary falls short of the deficit.  The integral never falls as
+        # its end moves out (powers are non-negative, ``cum`` is a running
+        # sum and ``epp`` the last segment's end value), so a lane whose
+        # ``cap`` is at or before its boundary cannot skip, and unless some
+        # lane's tick crosses a period boundary the integral is not needed.
+        if np.count_nonzero(cap > period_end):
+            e_to_boundary = self._integrate_vec(lanes, t0, period_end)
+            skipping = e_to_boundary < energy
+            if np.count_nonzero(skipping):
+                epp = self.epp[lanes]
+                remaining = np.where(skipping, energy - e_to_boundary, energy)
+                t = np.where(skipping, (k + 1.0) * period, t0)
+                periods = remaining / epp
+                n_whole = np.floor(periods)
+                skip = n_whole * period
+                never = skipping & (
+                    (periods >= _MAX_HARVEST_PERIODS) | np.isinf(skip)
+                )
+                skipping &= ~never
+                t = np.where(skipping, t + skip, t)
+                remaining = np.where(
+                    skipping, remaining - n_whole * epp, remaining
+                )
+                done = skipping & (remaining <= 0.0)
+                out[never] = np.inf
+                out[done] = (t - t0)[done]
+                w = ((remaining > 0.0) & ~(never | done)).nonzero()[0]
+                tw, rw = t[w], remaining[w]
+                local, k = self._fold(tw)
+        # Fused segment walk, one segment per pass in lockstep.  As in
+        # ``_seg_advance``, the next boundary ``k*period + seg + 1`` lies
+        # above ``tw``, so the scalar nextafter guard cannot fire.
+        rows = self.trow[lanes[w]]
+        for _ in range(10 * self.N + 100):
             if not w.size:
-                break
-            guard += 1
-            if guard > limit:
-                self._anomalize(lanes[w])
-                break
-            lw = lanes[w]
-            tw = t[w]
-            local, k = self._fold(tw)
-            seg = np.minimum(local.astype(np.intp), self.N - 1)
-            p = self.powers[self.trow[lw], seg]
-            # Integer grid: the scalar "float(seg + 1) if seg + 1 < n else
-            # period" collapses to seg + 1 because period == float(n).
-            nxt = k * period + self.times_ext[seg + 1]
-            low = nxt <= tw
-            if low.any():
-                nxt = np.where(low, np.nextafter(tw, np.inf), nxt)
-            rw = remaining[w]
+                return out
+            seg = local.astype(np.intp)
+            p = self.powers[rows, seg]
+            nxt = k * period + (seg + 1)
             harvest = p * (nxt - tw)
             fin = harvest >= rw
-            if fin.any():
-                wf = w[fin]
-                out[wf] = (tw + rw / p)[fin] - t0[wf]
-                walk[wf] = False
+            done = w[fin]
+            out[done] = (tw + rw / p)[fin] - t0[done]
+            if done.size == w.size:
+                return out
             cont = ~fin
-            if cont.any():
-                wc = w[cont]
-                remaining[wc] = rw[cont] - harvest[cont]
-                t[wc] = nxt[cont]
+            w = w[cont]
+            rw = rw[cont] - harvest[cont]
+            tw = nxt[cont]
+            rows = rows[cont]
+            local, k = self._fold(tw)
+        self._anomalize(lanes[w])
         return out
 
     # -------------------------------------------------------------------- run --
@@ -1762,7 +1729,9 @@ class _VectorBatch:
                 if width - dead < migrate_below:
                     self.migrating = True
                 if dead >= _COMPACT_MIN and dead * 8 >= width:
+                    t0 = perf()
                     self._compact(state != _DONE)
+                    t_ctrl += perf() - t0
                     state = self.state
                 iters += 1
                 if iters > max_iters:
@@ -1806,9 +1775,10 @@ class _VectorBatch:
                 t_rech += t3 - t2
         if self._trace is not None:
             self._flush_trace()
+        t0 = perf()
         self._harvest(np.arange(self.state.shape[0]))
         self.iterations = iters
-        self.ctrl_s = t_ctrl
+        self.ctrl_s = t_ctrl + perf() - t0
         self.adv_s = t_adv
         self.rech_s = t_rech
         # The continuations need none of the batch's trace or draw tables.
@@ -1838,16 +1808,20 @@ class _VectorBatch:
             radio_counts[radio_lo] = int(self.optc_radio_lo[i])
         if radio_counts:
             option_use[radio_task] = radio_counts
+        stored = int(self.occ[i] + self.I[_OUTCOME : _OUTCOME + 6, i].sum())
         return RunMetrics(
             sim_end_s=float(self.m_sim_end[i]),
             captures_total=int(self.cap_idx[i]) - 1,
-            captures_active=int(self.m_captures_active[i]),
+            captures_active=stored + int(self.m_ibo_drops[i]),
             captures_interesting=int(self.m_captures_interesting[i]),
-            stored=int(self.m_stored[i]),
+            stored=stored,
             ibo_drops=int(self.m_ibo_drops[i]),
             ibo_drops_interesting=int(self.m_ibo_drops_interesting[i]),
-            jobs_completed=int(self.m_jobs_completed[i]),
-            jobs_degraded=int(self.m_jobs_degraded[i]),
+            jobs_completed=int(
+                self.optc_ml_hi[i] + self.optc_ml_lo[i]
+                + self.optc_radio_hi[i] + self.optc_radio_lo[i]
+            ),
+            jobs_degraded=int(self.optc_ml_lo[i] + self.optc_radio_lo[i]),
             false_negatives=int(self.m_false_negatives[i]),
             true_negatives=int(self.m_true_negatives[i]),
             packets_interesting_high=int(self.m_packets_ih[i]),

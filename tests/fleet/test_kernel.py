@@ -423,3 +423,75 @@ class TestTraceResidency:
             expected = dataclasses.asdict(outcomes[256][device])
             assert dataclasses.asdict(outcomes[7][device]) == expected
             assert dataclasses.asdict(outcomes[1024][device]) == expected
+
+
+class TestTraceWalks:
+    """The batch's fold and recharge wait against the scalar cursor, on the
+    branches a fleet spec with 1 s captures never reaches."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        period=st.sampled_from([1.0, 7.0, 1800.0, 3600.0, 86400.0]),
+        k=st.integers(0, 5000),
+        offset=st.floats(-3.0, 3.0),
+        ulps=st.integers(-4, 4),
+    )
+    def test_fold_matches_the_cursor_and_stays_in_period(
+        self, period, k, offset, ulps
+    ):
+        import math
+
+        import numpy as np
+
+        from repro.fleet import kernel
+        from repro.trace.power_trace import PiecewiseConstantTrace, TraceCursor
+
+        t = k * period + offset
+        for _ in range(abs(ulps)):  # land within a few ulps of a boundary
+            t = math.nextafter(t, math.copysign(math.inf, ulps))
+        if t < 0:
+            return
+        batch = kernel._VectorBatch.__new__(kernel._VectorBatch)
+        batch.PERIOD = period
+        local, whole = batch._fold(np.array([t]))
+        trace = PiecewiseConstantTrace.from_samples([1.0] * int(period), 1.0)
+        expected_local, expected_k = TraceCursor(trace)._fold(t)
+        assert 0.0 <= local[0] < period
+        assert (local[0], whole[0]) == (expected_local, float(expected_k))
+
+    def test_recharge_wait_matches_cursor_across_period_boundaries(self):
+        # ``_rech`` hands over deficits it found harvestable by each lane's
+        # tick end ``cap``; the whole-period skip can only fire for a tick
+        # that crosses a period boundary.  Drive both kinds of tick, with
+        # deficits on either side of the energy up to the boundary.
+        import numpy as np
+
+        from repro.fleet import kernel
+        from repro.trace.power_trace import TraceCursor
+
+        lanes = one_batch_of_lanes(baseline_spec(12))
+        batch = kernel._VectorBatch(lanes, standard_policies())
+        columns = np.arange(batch.D)
+        batch._need_cum(batch.trow[columns])
+        period = batch.PERIOD
+        rng = np.random.default_rng(7)
+        skipped = fired = 0
+        for _ in range(40):
+            t0 = rng.uniform(0.0, 3.0 * period, batch.D)
+            cap = t0 + rng.uniform(0.0, 1.5 * period, batch.D)
+            reachable = batch._integrate_vec(columns, t0, cap)
+            deficit = reachable * rng.uniform(0.05, 1.0, batch.D)
+            live = columns[deficit > 0.0]
+            got = batch._time_to_harvest_vec(
+                live, t0[live], deficit[live], cap[live]
+            )
+            for j, column in enumerate(live.tolist()):
+                cursor = TraceCursor(batch.lanes[column].trace)
+                start, need = float(t0[column]), float(deficit[column])
+                assert got[j] == cursor.time_to_harvest(start, need)
+                local, _ = cursor._fold(start)
+                if cursor.integrate(start, start + (period - local)) < need:
+                    fired += 1
+                elif cap[column] > start + (period - local):
+                    skipped += 1
+        assert fired > 0 and skipped > 0

@@ -11,12 +11,18 @@ the scalar oracle for every one.
 Straggler migration gets its own sweep: with ``_MIGRATE_LANES`` lowered
 so that small batches migrate, every device must still match the oracle.
 
+A wide spec (one 256-lane batch) runs at the real compaction and
+migration thresholds, where lanes on different sub-paths share each
+handler call.
+
 Also covered: ``kernel="auto"`` resolution, and the per-phase
-:class:`KernelStats` telemetry (recorder exposure, rollup invariance).
+:class:`KernelStats` telemetry (recorder exposure, rollup invariance,
+loop coverage).
 """
 
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -222,6 +228,28 @@ class TestStragglerMigration:
         assert_matches_oracle(spec, outcomes)
 
 
+#: Wide enough to compact (``_COMPACT_MIN`` is 64) and to migrate at the
+#: real ``_MIGRATE_LANES``: merged handler calls only go wrong when lanes
+#: on different sub-paths share one call, which narrow specs rarely line up.
+WIDE_DEVICES = 256
+
+
+class TestWideParity:
+    @pytest.mark.slow
+    @pytest.mark.parametrize("buffer_capacity", (4, 10))
+    def test_wide_batch_matches_scalar_oracle(self, buffer_capacity):
+        spec = FleetSpec(
+            name="wide-parity", devices=WIDE_DEVICES, seed=11, n_events=3,
+            policies=BASELINE_POOL, environments=ENVIRONMENT_POOL,
+            mcus=MCU_POOL, cells=CELL_POOL, buffer_capacity=buffer_capacity,
+        )
+        outcomes, stats = migrating_run(spec)
+        assert stats.lanes == WIDE_DEVICES and stats.batches == 1
+        assert stats.compactions > 0
+        assert stats.migrated_lanes > 0
+        assert_matches_oracle(spec, outcomes)
+
+
 class TestAutoKernel:
     def test_auto_resolves_vector_for_covered_mix(self):
         spec = FleetSpec(devices=256, policies=("NA", "AD", "TH50"))
@@ -338,6 +366,23 @@ class TestKernelStatsTelemetry:
         assert resumed.resumed_shards == 2
         # Resumed shards were not recomputed, so they carry no stats.
         assert recorder.kernel_stats_total() is None
+
+    def test_ctrl_time_covers_compaction_and_final_harvest(self, monkeypatch):
+        # Every compaction harvests, and the batch harvests once more after
+        # its loop: both are loop-head (CTRL) work and must land in ctrl_s.
+        pause = 0.02
+        harvest = kernel._VectorBatch._harvest
+
+        def slow_harvest(batch, idx):
+            time.sleep(pause)
+            harvest(batch, idx)
+
+        monkeypatch.setattr(kernel._VectorBatch, "_harvest", slow_harvest)
+        spec = FleetSpec(name="timed", devices=200, seed=3, n_events=3,
+                         policies=BASELINE_POOL)
+        _, stats = migrating_run(spec)
+        assert stats.compactions > 0
+        assert stats.ctrl_s >= (stats.compactions + stats.batches) * pause
 
     def test_stats_roundtrip_and_render(self):
         stats = KernelStats(lanes=10, scalar_lanes=2, migrated_lanes=7,
