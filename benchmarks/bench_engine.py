@@ -21,16 +21,26 @@ case, ``fleet_scale``, has three ratios:
   ``jobs=1`` over ``jobs=4``, each leg from an empty run memo (floor 2.0;
   reported but not gated below 4 CPUs).  The two grids must be equal.
 
+One more ratio is a ceiling, not a floor:
+
+* ``store_growth``: a cold 128-device ``TraceStore.build_for_spec`` into
+  a store that already holds 16,384 entries over the same-sized cold
+  build into an empty store (ceiling 1.5).  A build writes records only
+  for the segments it adds, so what a long-lived server's cold submit
+  pays must not grow with what the store holds.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_engine.py [--devices N] [--output PATH]
 
-Exit status 1 when a gated median falls below its floor.
+Exit status 1 when a gated median falls below its floor or above its
+ceiling.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import statistics
@@ -49,6 +59,14 @@ PAIRS = 5
 
 #: Median pair ratio each gate must reach.
 FLOORS = {"vector_vs_scalar": 3.14, "setup": 2.0, "parallel": 2.0}
+
+#: Median pair ratio each gate must not exceed.
+CEILINGS = {"store_growth": 1.5}
+
+#: Entries the large store of the ``store_growth`` gate holds before its
+#: legs, and the width of each leg's cold build.
+GROWTH_ENTRIES = 16_384
+GROWTH_DEVICES = 128
 
 #: Workers of the parallel leg; below this many CPUs it is not gated.
 PARALLEL_JOBS = 4
@@ -121,7 +139,6 @@ def fleet_ratios(devices: int) -> dict:
         store = TraceStore.create(tmp)
         for lane in lanes:  # the built inputs: nothing is regenerated
             store.put_for_config(lane.config, trace=lane.trace, schedule=lane.schedule)
-        store.save()
 
         def regenerate():
             start = perf()
@@ -156,6 +173,37 @@ def parallel_ratios() -> list[float]:
     return ratios
 
 
+def store_growth_ratios() -> list[float]:
+    """Pair ratios of a cold build into a full store over one into an
+    empty store; every leg builds a spec no store holds yet."""
+    perf = time.perf_counter
+    seeds = itertools.count(1)
+
+    def cold_build(store) -> float:
+        spec = FleetSpec(name="bench-growth", devices=GROWTH_DEVICES,
+                         seed=next(seeds), n_events=5)
+        start = perf()
+        counts = store.build_for_spec(spec)
+        seconds = perf() - start
+        if counts["reused"]:
+            raise RuntimeError("a store_growth leg found its spec already stored")
+        return seconds
+
+    with tempfile.TemporaryDirectory(prefix="bench-store-growth-") as tmp:
+        full = TraceStore.create(os.path.join(tmp, "full"))
+        full.build_for_spec(FleetSpec(name="bench-growth-fill",
+                                      devices=GROWTH_ENTRIES // 2, n_events=5))
+        if len(full) < GROWTH_ENTRIES:
+            raise RuntimeError(f"the full store holds only {len(full)} entries")
+        empties = itertools.count()
+        return paired_ratios(
+            lambda: cold_build(full),
+            lambda: cold_build(
+                TraceStore.create(os.path.join(tmp, f"empty-{next(empties)}"))
+            ),
+        )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -171,24 +219,27 @@ def main(argv=None) -> int:
     cpus = os.cpu_count() or 1
     ratios = fleet_ratios(args.devices)
     ratios["parallel"] = parallel_ratios()
+    ratios["store_growth"] = store_growth_ratios()
     gates = {}
-    for name, floor in FLOORS.items():
+    for name, bound in [*FLOORS.items(), *CEILINGS.items()]:
         median = statistics.median(ratios[name])
         gated = name != "parallel" or cpus >= PARALLEL_JOBS
-        ok = median >= floor or not gated
+        side = "ceiling" if name in CEILINGS else "floor"
+        within = median <= bound if side == "ceiling" else median >= bound
+        ok = within or not gated
         gates[name] = {
             "pairs": [round(ratio, 3) for ratio in ratios[name]],
             "median": round(median, 3),
-            "floor": floor,
+            side: bound,
             "gated": gated,
             "ok": ok,
         }
-        status = ("ok" if ok else "BELOW FLOOR") if gated else (
+        status = ("ok" if ok else f"OUTSIDE {side.upper()}") if gated else (
             f"not gated: {cpus} CPUs < {PARALLEL_JOBS}"
         )
         pairs = " ".join(f"{ratio:.2f}" for ratio in ratios[name])
         print(f"fleet_scale.{name:17s} median {median:5.2f}x  "
-              f"floor {floor:.2f}  pairs [{pairs}]  {status}")
+              f"{side} {bound:.2f}  pairs [{pairs}]  {status}")
     if args.output:
         case = {"devices": args.devices, "cpus": cpus, **gates}
         with open(args.output, "w") as handle:
@@ -196,7 +247,7 @@ def main(argv=None) -> int:
             handle.write("\n")
     failed = [name for name, gate in gates.items() if not gate["ok"]]
     if failed:
-        print(f"FAILED: {', '.join(failed)} below floor")
+        print(f"FAILED: {', '.join(failed)} outside its bound")
         return 1
     return 0
 

@@ -172,9 +172,9 @@ def smoke(out: str) -> None:
         if read(path("metrics-vector" + ext)) != read(path("metrics-varied" + ext)):
             fail(f"metrics{ext} differs across run configurations")
 
-    # 4. Trace store on both kernels; entries pack 256 to a segment file,
-    # and a forked (--jobs 2) build must write the same manifest and
-    # segments, byte for byte.
+    # 4. Trace store on both kernels; entries pack 256 to a segment file
+    # with one record each, and a forked (--jobs 2) build must write the
+    # same manifest, segments and records, byte for byte.
     store, forked = path("store"), path("store-forked")
     for directory, jobs in ((store, "1"), (forked, "2")):
         run("repro.trace", "store", "build", directory,
@@ -182,10 +182,15 @@ def smoke(out: str) -> None:
             "--name", SPEC.name, "--events", str(SPEC.n_events),
             "--policies", ",".join(SPEC.policies), "--jobs", jobs, "--quiet")
     names = sorted(os.listdir(store))
-    entries = len(json.loads(read(os.path.join(store, "manifest.json")))["entries"])
-    if len(names) != -(-entries // 256) + 1:
+    segments = [name for name in names if name.endswith(".bin")]
+    records = [name for name in names if name.startswith("seg-") and name.endswith(".json")]
+    entries = sum(len(json.loads(read(os.path.join(store, name)))["entries"])
+                  for name in records)
+    if (len(segments) != -(-entries // 256)
+            or records != [f"{name[:-4]}.json" for name in segments]
+            or len(names) != 2 * len(segments) + 1):
         fail(f"store holds {len(names)} files for {entries} entries; expected "
-             "one segment per 256 entries plus manifest.json")
+             "one segment and one record per 256 entries plus manifest.json")
     if names != sorted(os.listdir(forked)):
         fail("--jobs 2 store holds different files than the --jobs 1 store")
     _, mismatch, errors = filecmp.cmpfiles(store, forked, names, shallow=False)

@@ -31,6 +31,7 @@ from repro.errors import ConfigurationError
 from repro.sim.engine import SimulationConfig
 from repro.trace.power_trace import PiecewiseConstantTrace
 from repro.trace.solar import SolarTraceConfig, SolarTraceGenerator
+from repro.trace.store import KeyTemplate, schedule_store_key, solar_store_key
 from repro.workload.pipelines import PersonDetectionApp, app_for_mcu
 
 __all__ = [
@@ -49,21 +50,21 @@ DEFAULT_SIM_EVENTS = 1000
 DEFAULT_HW_EVENTS = 100
 
 #: Per cell count: the validated ``SolarTraceConfig`` (shared by every
-#: ``build_trace``) and its seed-0 trace-store key template.  Schedule key
-#: templates are cached per (generator, n_events).  Templates are
-#: shallow-copied with the real seed per call; the schedule cache keeps a
+#: ``build_trace``) and its trace-store :class:`~repro.trace.store.KeyTemplate`.
+#: Schedule key templates are cached per (generator, n_events).  A template
+#: yields each seed's key and fingerprint; the schedule cache keeps a
 #: strong reference to its generator so cached ``id()`` keys stay valid.
 _SOLAR_TEMPLATES: dict = {}
 _SCHEDULE_KEY_TEMPLATES: dict = {}
 
 
-def _solar_template(cells: int) -> tuple[SolarTraceConfig, dict]:
+def _solar_template(cells: int) -> tuple[SolarTraceConfig, KeyTemplate]:
     cached = _SOLAR_TEMPLATES.get(cells)
     if cached is None:
-        from repro.trace.store import solar_store_key
-
         solar = SolarTraceConfig(cells=cells)
-        cached = _SOLAR_TEMPLATES[cells] = (solar, solar_store_key(solar, 0))
+        cached = _SOLAR_TEMPLATES[cells] = (
+            solar, KeyTemplate(solar_store_key(solar, 0)),
+        )
     return cached
 
 
@@ -124,8 +125,12 @@ class ExperimentConfig:
 
     def build_trace(self) -> PiecewiseConstantTrace:
         """The solar trace for this config's cell count and seed."""
+        return self.trace_generator().generate()
+
+    def trace_generator(self) -> SolarTraceGenerator:
+        """The generator :meth:`build_trace` runs."""
         solar, _ = _solar_template(self.cells)
-        return SolarTraceGenerator(solar, seed=self.trace_seed).generate()
+        return SolarTraceGenerator(solar, seed=self.trace_seed)
 
     def build_schedule(self) -> EventSchedule:
         """The event schedule for this config's environment and seed."""
@@ -162,37 +167,39 @@ class ExperimentConfig:
     # The persistent, process-independent identities of the same builders:
     # full generator params + seed, fingerprinted by the trace store.  A
     # store entry written for one config is found by any other config
-    # whose builder would generate identical data.  Key templates (the
-    # params dicts) are cached per generator — fleet lane builds call
-    # these once per device, and re-running ``dataclasses.asdict`` per
-    # lane measurably dented the store's setup win.
+    # whose builder would generate identical data.  Key templates are
+    # cached per generator: fleet lane builds call these once per device,
+    # and a template encodes its params once for every seed's fingerprint.
 
     def trace_store_key(self) -> dict:
         """:mod:`repro.trace.store` key of :meth:`build_trace`'s output."""
-        _, base = _solar_template(self.cells)
-        key = dict(base)
-        key["seed"] = self.trace_seed
-        return key
+        return _solar_template(self.cells)[1].key(self.trace_seed)
+
+    def trace_store_fingerprint(self) -> str:
+        """``fingerprint_key(self.trace_store_key())``."""
+        return _solar_template(self.cells)[1].fingerprint(self.trace_seed)
 
     def schedule_store_key(self) -> dict:
         """:mod:`repro.trace.store` key of :meth:`build_schedule`'s output."""
+        return self._schedule_template().key(self.schedule_seed)
+
+    def schedule_store_fingerprint(self) -> str:
+        """``fingerprint_key(self.schedule_store_key())``."""
+        return self._schedule_template().fingerprint(self.schedule_seed)
+
+    def _schedule_template(self) -> KeyTemplate:
         generator = self.environment.generator
         cached = _SCHEDULE_KEY_TEMPLATES.get((id(generator), self.n_events))
         # The cache holds a strong reference to the generator, so a hit's
         # id() cannot have been recycled; the identity check is belt and
         # braces.
         if cached is None or cached[0] is not generator:
-            from repro.trace.store import schedule_store_key
-
-            base = schedule_store_key(generator, self.n_events, 0)
+            template = KeyTemplate(schedule_store_key(generator, self.n_events, 0))
             _SCHEDULE_KEY_TEMPLATES[(id(generator), self.n_events)] = (
-                generator, base,
+                generator, template,
             )
-        else:
-            base = cached[1]
-        key = dict(base)
-        key["seed"] = self.schedule_seed
-        return key
+            return template
+        return cached[1]
 
     # -- variants ---------------------------------------------------------------
 

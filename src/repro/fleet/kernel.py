@@ -955,6 +955,8 @@ class _VectorBatch:
         Called when some drawing lane ran dry; tops up *every* live column
         within one chunk of empty in the same pass, so loosely-desynced
         lanes share refill passes instead of each triggering its own.
+        Finished columns are skipped: they never draw again (a migrated
+        lane resumes from its draw counts, not from this table).
         Each lane gets one C-level ``Generator.random(out=)`` fill into a
         row of the staging block (no per-lane allocation, same stream as
         chunked scalar draws), and the staging rows land in the lane's
@@ -962,7 +964,7 @@ class _VectorBatch:
         plane parity.  ``fill - pos <= chunk`` guarantees the landing
         plane holds no unconsumed draws (buffer capacity is 2*chunk).
         """
-        cohort = ((fill - pos) <= chunk).nonzero()[0]
+        cohort = (((fill - pos) <= chunk) & (self.state != _DONE)).nonzero()[0]
         # Group by landing plane first so each plane's store is one
         # contiguous slice of the staging block.
         offsets = fill[cohort] % (2 * chunk)  # 0 or chunk per lane
@@ -1487,25 +1489,23 @@ class _VectorBatch:
 
     # --------------------------------------------------------------- recharge --
 
-    def _rech(self, m, count: int) -> None:
+    def _rech(self, lanes) -> None:
         """One fused-recharge tick per lane (engine ``_recharge_to_restart``).
 
         RECHG holds the smallest lane population of the three states (a
         few percent most iterations), so the whole handler is subset-based
-        — one ``nonzero``, then per-lane gathers; its core is dominated by
-        per-lane trace-table gathers (``_efz``) whose cost is per *element
-        touched* either way, and full-width evaluation of the state checks
-        would do strictly more element work (measured ~2x on the fleet
-        mix).
+        — ``lanes`` is the index array, then per-lane gathers; its core is
+        dominated by per-lane trace-table gathers (``_efz``) whose cost is
+        per *element touched* either way, and full-width evaluation of the
+        state checks would do strictly more element work (measured ~2x on
+        the fleet mix).
         """
-        lanes = m.nonzero()[0]
         deficit = self.restart[lanes] - self.energy[lanes]
         full = deficit <= _ENERGY_EPS
         fu = full.nonzero()[0]
         if fu.size:
             self._rech_exit(lanes[fu])
-            count -= fu.size
-            if not count:
+            if fu.size == lanes.size:
                 return
             keep = (~full).nonzero()[0]
             lanes = lanes[keep]
@@ -1515,8 +1515,7 @@ class _VectorBatch:
         if ae.size:
             # Engine raises _RunEnded here: recharge_time is *not* booked.
             self._finish(lanes[ae])
-            count -= ae.size
-            if not count:
+            if ae.size == lanes.size:
                 return
             keep = (~at_end).nonzero()[0]
             lanes = lanes[keep]
@@ -1752,8 +1751,12 @@ class _VectorBatch:
                     if tracing:
                         self._flush_trace()
                 t2 = perf()
-                if counts[_RECHG]:
-                    self._rech(state == _RECHG, int(counts[_RECHG]))
+                # Read after ``_adv``: the lanes it just moved into recharge
+                # take their first tick now, as the scalar engine recharges
+                # straight after a power failure.
+                rech = (state == _RECHG).nonzero()[0]
+                if rech.size:
+                    self._rech(rech)
                     if tracing:
                         self._flush_trace()
                 t3 = perf()

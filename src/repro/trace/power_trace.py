@@ -113,15 +113,23 @@ class PiecewiseConstantTrace:
         self._times = times
         self._powers = powers
         self._period = period
-        # Cumulative energy at each segment start, for O(log n) integration.
-        durations = np.diff(self._times)
-        seg_energy = self._powers[:-1] * durations
-        self._cum_energy = np.concatenate([[0.0], np.cumsum(seg_energy)])
-        if period is not None:
-            tail = self._powers[-1] * (period - self._times[-1])
-            self._energy_per_period = float(self._cum_energy[-1] + tail)
-        else:
-            self._energy_per_period = math.inf
+        self._cum_energy, self._energy_per_period = self._energy_tables(
+            times, powers, period
+        )
+
+    @staticmethod
+    def _energy_tables(
+        times: np.ndarray, powers: np.ndarray, period: float | None
+    ) -> tuple[np.ndarray, float]:
+        """Cumulative energy at each segment start (for O(log n)
+        integration) and the energy of one period (``inf`` if none)."""
+        durations = np.diff(times)
+        seg_energy = powers[:-1] * durations
+        cum_energy = np.concatenate([[0.0], np.cumsum(seg_energy)])
+        if period is None:
+            return cum_energy, math.inf
+        tail = powers[-1] * (period - times[-1])
+        return cum_energy, float(cum_energy[-1] + tail)
 
     # The plain-list mirrors of the arrays (bisect wants a list, and list
     # indexing skips the per-access numpy-scalar boxing the cursor would
@@ -199,6 +207,15 @@ class PiecewiseConstantTrace:
         With ``repeat=True`` (the default) the recording loops, mirroring the
         paper's replay of its solar dataset.
         """
+        return cls._from_validated(*cls._sample_grid(powers, sample_period, repeat))
+
+    @classmethod
+    def _sample_grid(
+        cls, powers: Sequence[float], sample_period: float, repeat: bool
+    ) -> tuple[np.ndarray, np.ndarray, float | None]:
+        """:meth:`from_samples`'s checks; returns the validated ``(times,
+        powers, period)`` that :meth:`_from_validated` takes.  The trace
+        store builds its solar payloads through here too."""
         if sample_period <= 0:
             raise TraceError(f"sample_period must be positive, got {sample_period}")
         if not math.isfinite(sample_period):
@@ -218,7 +235,7 @@ class PiecewiseConstantTrace:
             raise TraceError("segment start times must be strictly increasing")
         period = n * sample_period if repeat else None
         cls._validate_period(times_arr, period)
-        return cls._from_validated(times_arr, powers_arr, period)
+        return times_arr, powers_arr, period
 
     # -- properties ----------------------------------------------------------
 

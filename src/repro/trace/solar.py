@@ -156,6 +156,16 @@ class SolarTraceGenerator:
 
     def generate(self, days: int = 1) -> PiecewiseConstantTrace:
         """Generate ``days`` synthetic days and return a repeating trace."""
+        return PiecewiseConstantTrace.from_samples(
+            self.samples(days), self.config.sample_period_s, repeat=True
+        )
+
+    def samples(self, days: int = 1) -> np.ndarray:
+        """The power samples (W) :meth:`generate` wraps into a trace.
+
+        A fresh array, one sample per ``sample_period_s``; the trace store
+        packs it without building the trace object.
+        """
         if days < 1:
             raise TraceError(f"days must be >= 1, got {days}")
         cfg = self.config
@@ -168,10 +178,7 @@ class SolarTraceGenerator:
                 mean=-0.5 * cfg.flicker_sigma**2, sigma=cfg.flicker_sigma, size=n
             )
             powers = powers * flicker
-        powers = np.maximum(powers, cfg.night_floor_w)
-        return PiecewiseConstantTrace.from_samples(
-            powers, cfg.sample_period_s, repeat=True
-        )
+        return np.maximum(powers, cfg.night_floor_w)
 
     # -- internals -----------------------------------------------------------
 
@@ -190,13 +197,22 @@ class SolarTraceGenerator:
             cdf /= cdf[-1]
             cdfs.append(cdf.tolist())
         mean_dwell_samples = max(1.0, cfg.cloud_dwell_mean_s / cfg.sample_period_s)
-        factors = np.empty(n, dtype=float)
+        exponential, uniform = rng.exponential, rng.random
+        bisect_right = bisect.bisect_right
+        # The chain is drawn first and laid out by one ``np.repeat``.  Every
+        # dwell takes its exponential and then its uniform draw, the last
+        # dwell included, so the flicker draws that follow see the same
+        # generator state.  ``round`` of a non-negative float is a
+        # non-negative int, so ``or 1`` gives each dwell at least one sample.
+        states = []
+        dwells = []
         state = 0  # start clear
         i = 0
         while i < n:
-            dwell = max(1, int(round(rng.exponential(mean_dwell_samples))))
-            j = min(n, i + dwell)
-            factors[i:j] = attn[state]
-            i = j
-            state = bisect.bisect_right(cdfs[state], rng.random())
-        return factors
+            dwell = round(exponential(mean_dwell_samples)) or 1
+            states.append(state)
+            dwells.append(dwell)
+            i += dwell
+            state = bisect_right(cdfs[state], uniform())
+        dwells[-1] -= i - n  # the last dwell stops at the trace's end
+        return np.repeat(attn[states], dwells)

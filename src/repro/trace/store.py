@@ -17,15 +17,27 @@ module turns that recompute into a *read*: a directory holding
   - ``events`` : ``(3, E)`` rows ``[starts, durations, interesting]``
     (the ``EventSchedule.arrays()`` columns);
 
-* a ``manifest.json`` (version 2) keyed by the SHA-256 fingerprint of the
-  entry's canonical key (same construction as ``FleetCheckpoint``
-  manifests: sorted-keys JSON, atomic tmp + ``os.replace`` writes),
-  recording each entry's segment, offset, shape, data digest, and the
-  scalar metadata needed to re-attach without recomputation (``period``,
-  ``energy_per_period``, …), plus each segment's size.  A version-1
-  manifest (one ``.npy`` file per entry) still loads: each of its files
-  is a one-entry segment of size ``offset + bytes``, and the next save
-  writes version 2.
+* one record per segment, ``seg-<same digest>.json``, written (tmp +
+  ``os.replace``) only after its segment is in place: the segment's size
+  and, per entry in offset order, the SHA-256 fingerprint of its
+  canonical key, offset, shape, payload digest and the scalar metadata
+  needed to re-attach without recomputation (``period``,
+  ``energy_per_period``, …).  An entry's key names its generator params
+  by position in the record's params table, so each distinct params
+  object is stored once per segment, not once per entry;
+
+* a ``manifest.json`` holding only the store's format version (3).
+
+A build therefore writes records only for the segments it adds and never
+rewrites what is there, so its cost does not grow with the store
+(DESIGN.md §10, "The memory-mapped trace store", has the measured costs).  Opening
+a store reads every record; entries that appear in several records (two
+writers that stored the same entry) resolve to the first by file name.
+A record that does not parse (say, one cut short by a crash before the
+file system flushed it) or that names a missing segment is skipped: its entries are misses, the generators rebuild the same bytes,
+and the next ``build_for_spec`` writes them back.  ``verify`` reports
+both.  Stores of earlier versions (one ``manifest.json`` listing every
+entry) are refused with a ``TraceError``; build a fresh store instead.
 
 Attach is zero-copy: each segment is mapped once, while any of its
 entries is attached, and :meth:`PiecewiseConstantTrace._attach` /
@@ -34,10 +46,9 @@ fleet workers (forked or independent) share one page-cache copy of a
 GB-scale trace library.  Entries are immutable once written — a
 fingerprint never changes meaning — which is what makes the store safe
 to share between concurrent runs and to reuse across specs (any config
-whose ``(params, seed)`` matches hits the same entry).  The manifest is
-saved only after the segments it names are in place, so a writer killed
-mid-build leaves at worst unnamed segments or ``*.tmp.<pid>`` files: no
-manifest references them, and a rebuild rewrites the same entries under
+whose ``(params, seed)`` matches hits the same entry).  A writer killed
+mid-build leaves at worst segments without a record or ``*.tmp.<pid>``
+files, which no record names; a rebuild rewrites the same entries under
 the same segment name.
 
 CLI::
@@ -63,13 +74,14 @@ import numpy as np
 from repro.env.events import EventSchedule, EventScheduleGenerator
 from repro.errors import TraceError
 from repro.trace.power_trace import PiecewiseConstantTrace
-from repro.trace.solar import SolarTraceConfig
+from repro.trace.solar import SolarTraceConfig, SolarTraceGenerator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (experiments -> trace)
     from repro.experiments.configs import ExperimentConfig
     from repro.fleet.spec import FleetSpec
 
 __all__ = [
+    "KeyTemplate",
     "TraceStore",
     "fingerprint_key",
     "schedule_store_key",
@@ -77,7 +89,7 @@ __all__ = [
 ]
 
 _MANIFEST = "manifest.json"
-_VERSION = 2
+_VERSION = 3
 # Entries per segment file, in build order.  A constant, so the files a
 # build writes never depend on ``jobs``.
 _SEGMENT_ENTRIES = 256
@@ -101,6 +113,39 @@ def _canonical(obj) -> str:
 def fingerprint_key(key: dict) -> str:
     """Stable SHA-256 identity of a store key dict."""
     return hashlib.sha256(_canonical(key).encode()).hexdigest()
+
+
+class KeyTemplate:
+    """Store keys that differ only in their ``seed``.
+
+    The canonical JSON of a key is the template's, with the seed's JSON in
+    the middle: the text around it (kind, full generator params, call
+    arguments) is encoded once here, so :meth:`fingerprint` hashes the
+    same bytes as :func:`fingerprint_key` of :meth:`key` without
+    re-encoding the params per seed.
+    """
+
+    __slots__ = ("template", "_head", "_tail")
+
+    def __init__(self, template: dict):
+        self.template = template
+        mark = '"seed":' + _canonical("\0")
+        parts = _canonical({**template, "seed": "\0"}).split(mark)
+        if len(parts) != 2:
+            raise TraceError(f"cannot template store key {template!r}")
+        self._head = parts[0] + '"seed":'
+        self._tail = parts[1]
+
+    def key(self, seed) -> dict:
+        key = dict(self.template)
+        key["seed"] = seed
+        return key
+
+    def fingerprint(self, seed) -> str:
+        seed_json = repr(seed) if type(seed) is int else _canonical(seed)
+        return hashlib.sha256(
+            f"{self._head}{seed_json}{self._tail}".encode()
+        ).hexdigest()
 
 
 def solar_store_key(config: SolarTraceConfig, seed: int, days: int = 1) -> dict:
@@ -129,31 +174,81 @@ def schedule_store_key(
     }
 
 
+def _record_bytes(size: int, entries: list) -> bytes:
+    """The record of one segment: its size, then its ``(fingerprint,
+    entry)`` pairs in offset order, each key naming its params by position
+    in a table that holds every distinct params value once."""
+    slots: dict[int, int] = {}  # id(params) -> table position
+    positions: dict[str, int] = {}  # canonical params JSON -> position
+    table = []
+    records = []
+    for fingerprint, entry in entries:
+        key = entry["key"]
+        params = key["params"]
+        slot = slots.get(id(params))
+        if slot is None:
+            slot = positions.setdefault(_canonical(params), len(table))
+            if slot == len(table):
+                table.append(params)
+            slots[id(params)] = slot
+        records.append({
+            "fingerprint": fingerprint, "key": {**key, "params": slot},
+            "shape": entry["shape"], "offset": entry["offset"],
+            "bytes": entry["bytes"], "meta": entry["meta"],
+            "sha256": entry["sha256"],
+        })
+    return _canonical({"entries": records, "params": table, "size": size}).encode()
+
+
+def _parse_record(data: bytes, segment: str) -> tuple[int, list]:
+    """``(size, [(fingerprint, entry), ...])`` of one record's bytes;
+    raises ``ValueError``/``LookupError``/``TypeError`` on a damaged one."""
+    record = json.loads(data)
+    table = record["params"]
+    entries = []
+    for item in record["entries"]:
+        key = item["key"]
+        key["params"] = table[key["params"]]
+        entries.append((item["fingerprint"], {
+            "kind": key["kind"], "key": key, "file": segment,
+            "shape": item["shape"], "offset": item["offset"],
+            "bytes": item["bytes"], "meta": item["meta"],
+            "sha256": item["sha256"],
+        }))
+    return int(record["size"]), entries
+
+
+def _write_atomic(path: str, data: bytes) -> None:
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+    os.replace(tmp, path)
+
+
 class TraceStore:
     """A directory of fingerprinted, memory-mapped trace/schedule entries.
 
     Open an existing store with :meth:`open` (raises if the directory has
-    no manifest) or :meth:`create` (makes the directory and an empty
-    manifest, or opens an existing one for appending).  Writers call
-    :meth:`put_trace` / :meth:`put_schedule` / :meth:`put_for_config` and
-    then :meth:`save`; readers call :meth:`trace_for` /
-    :meth:`schedule_for` with an :class:`ExperimentConfig` (or
-    :meth:`get_trace` / :meth:`get_schedule` with a raw key) and receive
-    attached, memmap-backed objects — ``None`` when the entry is absent,
-    so callers can fall back to the generators.
+    no manifest) or :meth:`create` (makes the directory and its manifest,
+    or opens an existing store for appending).  Writers call
+    :meth:`put_trace` / :meth:`put_schedule` / :meth:`put_for_config` or
+    :meth:`build_for_spec`, each of which leaves its entries durable on
+    return; readers call :meth:`trace_for` / :meth:`schedule_for` with an
+    :class:`ExperimentConfig` (or :meth:`get_trace` / :meth:`get_schedule`
+    with a raw key) and receive attached, memmap-backed objects — ``None``
+    when the entry is absent, so callers can fall back to the generators.
 
     Attached objects are shared per fingerprint while anything holds
     them (they are immutable) and released with their mapping when the
     last holder drops them; config-level lookups memoize the fingerprint
     on the config's cheap ``trace_key()`` / ``schedule_key()`` tuples so
-    the per-device hot path never re-hashes JSON.
+    the per-device hot path never re-hashes.
     """
 
     def __init__(self, directory: str | os.PathLike, *, create: bool = False):
         self.directory = os.fspath(directory)
         self._entries: dict[str, dict] = {}
         self._segments: dict[str, int] = {}  # segment file -> size in bytes
-        self._dirty = False
         # Attachments live exactly as long as a lane or engine holds them,
         # and a segment's mapping as long as any of its attachments: a
         # forever-memo would pin every mmap, its fd and the lazily built
@@ -175,19 +270,17 @@ class TraceStore:
                     f"manifest: {exc}"
                 ) from exc
             version = data.get("version") if isinstance(data, dict) else None
-            if version not in (1, _VERSION):
+            if version != _VERSION:
                 raise TraceError(
                     f"trace store {self.directory} has manifest version "
-                    f"{version!r}; this build reads 1 and {_VERSION}"
+                    f"{version!r}; this build reads only version {_VERSION} "
+                    "(build a fresh store with `python -m repro.trace store "
+                    "build`)"
                 )
-            self._entries = data["entries"]
-            # A v1 entry is its own .npy file whose payload ends the file.
-            self._segments = data["segments"] if version == _VERSION else {
-                e["file"]: e["offset"] + e["bytes"] for e in self._entries.values()
-            }
+            self._entries, self._segments, _ = self._read_records()
         elif create:
             os.makedirs(self.directory, exist_ok=True)
-            self.save()
+            _write_atomic(manifest, json.dumps({"version": _VERSION}).encode())
         else:
             raise TraceError(
                 f"no trace store at {self.directory} (missing {_MANIFEST}); "
@@ -222,7 +315,7 @@ class TraceStore:
         return out
 
     def nbytes(self) -> int:
-        """Total payload bytes across all entries (per the manifest)."""
+        """Total payload bytes across all entries (per the records)."""
         return sum(entry["bytes"] for entry in self._entries.values())
 
     def render(self) -> str:
@@ -233,33 +326,47 @@ class TraceStore:
             f"({kinds or 'empty'}), {self.nbytes() / 1e6:.1f} MB payload"
         )
 
-    # -- manifest -------------------------------------------------------------
+    # -- records --------------------------------------------------------------
 
-    def save(self) -> None:
-        """Atomically write the manifest (tmp + ``os.replace``)."""
-        path = os.path.join(self.directory, _MANIFEST)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        payload = {"version": _VERSION, "entries": self._entries,
-                   "segments": self._segments}
-        # json.dumps runs the C encoder; json.dump streams through the
-        # pure-Python one.  Same arguments, same bytes.
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, sort_keys=True, indent=None))
-        os.replace(tmp, path)
-        self._dirty = False
+    def _read_records(self) -> tuple[dict, dict, list[str]]:
+        """Every usable record on disk: ``(entries, segment sizes,
+        problems)``, where a problem names a record that was skipped."""
+        names = set(os.listdir(self.directory))
+        entries: dict[str, dict] = {}
+        segments: dict[str, int] = {}
+        problems: list[str] = []
+        for name in sorted(names):
+            if not (name.startswith("seg-") and name.endswith(".json")):
+                continue
+            segment = f"{name[:-5]}.bin"
+            if segment not in names:
+                problems.append(f"{segment}: data file missing (record {name} skipped)")
+                continue
+            try:
+                with open(os.path.join(self.directory, name), "rb") as handle:
+                    size, parsed = _parse_record(handle.read(), segment)
+            except (OSError, ValueError, LookupError, TypeError) as exc:
+                problems.append(f"{name}: unreadable record, skipped ({exc!r})")
+                continue
+            segments[segment] = size
+            for fingerprint, entry in parsed:
+                entries.setdefault(fingerprint, entry)
+        return entries, segments, problems
 
     # -- writing --------------------------------------------------------------
 
     def _write_segment(self, fingerprints: list[str], payloads) -> tuple:
-        """Write one segment: ``payloads`` yields ``(key, data, meta)`` per
-        fingerprint, in order.  Returns ``(file, size, entries)``.
+        """Write one segment and then its record: ``payloads`` yields
+        ``(key, data, meta)`` per fingerprint, in order.  Returns ``(file,
+        size, entries)``.
 
-        The file name hashes the fingerprints, so the same entries always
-        make the same file; each payload is written as it is produced, so
+        The file names hash the fingerprints, so the same entries always
+        make the same files; each payload is written as it is produced, so
         a segment's payloads never sit in memory together.
         """
         digest = hashlib.sha256("".join(fingerprints).encode()).hexdigest()
-        filename = f"seg-{digest[:20]}.bin"
+        name = f"seg-{digest[:20]}"
+        filename = f"{name}.bin"
         path = os.path.join(self.directory, filename)
         tmp = f"{path}.tmp.{os.getpid()}"
         entries = []
@@ -275,13 +382,31 @@ class TraceStore:
                 handle.write(data)
             size = handle.tell()
         os.replace(tmp, path)
+        _write_atomic(
+            os.path.join(self.directory, f"{name}.json"), _record_bytes(size, entries)
+        )
         return filename, size, entries
 
     def _add_segment(self, segment: tuple) -> None:
         filename, size, entries = segment
         self._segments[filename] = size
         self._entries.update(entries)
-        self._dirty = True
+
+    def _put(self, fingerprint: str, key: dict, data, meta: dict) -> None:
+        self._add_segment(self._write_segment([fingerprint], [(key, data, meta)]))
+
+    @staticmethod
+    def _solar_data(powers, cum_energy, sample_period, period, energy) -> tuple:
+        data = np.empty((2, powers.shape[0]), dtype=np.float64)
+        data[0] = powers
+        data[1] = cum_energy
+        meta = {
+            "n": powers.shape[0],
+            "sample_period": sample_period,
+            "period": float(period),
+            "energy_per_period": float(energy),
+        }
+        return data, meta
 
     @staticmethod
     def _trace_payload(key: dict, trace: PiecewiseConstantTrace) -> tuple:
@@ -297,16 +422,29 @@ class TraceStore:
         # bit-for-bit (from_samples builds it exactly this way).
         if not np.array_equal(times, np.arange(n, dtype=float) * sample_period):
             raise TraceError("trace store requires a uniform sample grid")
-        data = np.empty((2, n), dtype=np.float64)
-        data[0] = trace._powers
-        data[1] = trace._cum_energy
-        meta = {
-            "n": n,
-            "sample_period": sample_period,
-            "period": float(trace.period),
-            "energy_per_period": float(trace._energy_per_period),
-        }
-        return data, meta
+        return TraceStore._solar_data(
+            trace._powers, trace._cum_energy, sample_period, trace.period,
+            trace._energy_per_period,
+        )
+
+    @staticmethod
+    def _generated_payload(generator: SolarTraceGenerator, days: int) -> tuple:
+        """The payload of ``generator.generate(days)``, computed from its
+        samples by ``from_samples``'s own checks and float ops, without
+        building the trace."""
+        sample_period = generator.config.sample_period_s
+        times, powers, period = PiecewiseConstantTrace._sample_grid(
+            generator.samples(days), sample_period, repeat=True
+        )
+        cum_energy, energy = PiecewiseConstantTrace._energy_tables(
+            times, powers, period
+        )
+        # The grid is arange(n) * sample_period, so the sample period that
+        # _trace_payload reads off a built trace (times[1], or the period
+        # of a one-sample trace) is exactly sample_period.
+        return TraceStore._solar_data(
+            powers, cum_energy, float(sample_period), period, energy
+        )
 
     @staticmethod
     def _schedule_payload(key: dict, schedule: EventSchedule) -> tuple:
@@ -326,6 +464,16 @@ class TraceStore:
         }
         return data, meta
 
+    @classmethod
+    def _config_payload(cls, kind: str, config: "ExperimentConfig") -> tuple:
+        """``(key, data, meta)`` of the ``kind`` entry ``config`` needs,
+        generated."""
+        if kind == "solar":
+            key = config.trace_store_key()
+            return key, *cls._generated_payload(config.trace_generator(), key["days"])
+        key = config.schedule_store_key()
+        return key, *cls._schedule_payload(key, config.build_schedule())
+
     def put_trace(self, key: dict, trace: PiecewiseConstantTrace) -> str:
         """Persist a trace under ``key``; returns its fingerprint.
 
@@ -334,16 +482,14 @@ class TraceStore:
         """
         fingerprint = fingerprint_key(key)
         if fingerprint not in self._entries:
-            payload = (key, *self._trace_payload(key, trace))
-            self._add_segment(self._write_segment([fingerprint], [payload]))
+            self._put(fingerprint, key, *self._trace_payload(key, trace))
         return fingerprint
 
     def put_schedule(self, key: dict, schedule: EventSchedule) -> str:
         """Persist an event schedule under ``key``; returns its fingerprint."""
         fingerprint = fingerprint_key(key)
         if fingerprint not in self._entries:
-            payload = (key, *self._schedule_payload(key, schedule))
-            self._add_segment(self._write_segment([fingerprint], [payload]))
+            self._put(fingerprint, key, *self._schedule_payload(key, schedule))
         return fingerprint
 
     def put_for_config(
@@ -356,22 +502,22 @@ class TraceStore:
 
         ``trace``/``schedule`` short-circuit regeneration when the caller
         already holds the built objects (the bench stores from prebuilt
-        lanes this way); otherwise missing entries are generated via the
-        config's builders.
+        lanes this way); otherwise missing entries are generated from the
+        config's generators.
         """
-        trace_key = config.trace_store_key()
-        trace_fp = fingerprint_key(trace_key)
+        trace_fp = config.trace_store_fingerprint()
         if trace_fp not in self._entries:
-            trace_fp = self.put_trace(
-                trace_key, trace if trace is not None else config.build_trace()
-            )
-        schedule_key = config.schedule_store_key()
-        schedule_fp = fingerprint_key(schedule_key)
+            key = config.trace_store_key()
+            self._put(trace_fp, key, *(
+                self._generated_payload(config.trace_generator(), key["days"])
+                if trace is None else self._trace_payload(key, trace)
+            ))
+        schedule_fp = config.schedule_store_fingerprint()
         if schedule_fp not in self._entries:
-            schedule_fp = self.put_schedule(
-                schedule_key,
-                schedule if schedule is not None else config.build_schedule(),
-            )
+            key = config.schedule_store_key()
+            self._put(schedule_fp, key, *self._schedule_payload(
+                key, config.build_schedule() if schedule is None else schedule
+            ))
         return trace_fp, schedule_fp
 
     # -- attaching ------------------------------------------------------------
@@ -398,8 +544,9 @@ class TraceStore:
             ).reshape(entry["shape"])
         except (OSError, ValueError) as exc:
             # Each live mapping holds one dup'ed fd, so a wide batch can
-            # exhaust the fd limit; the generator rebuilds the same bytes.
-            if getattr(exc, "errno", None) in (errno.EMFILE, errno.ENFILE):
+            # exhaust the fd limit, and a segment can vanish under an open
+            # store; either way the generator rebuilds the same bytes.
+            if getattr(exc, "errno", None) in (errno.EMFILE, errno.ENFILE, errno.ENOENT):
                 return None
             raise TraceError(
                 f"trace store entry {filename} unreadable: {exc}"
@@ -467,7 +614,7 @@ class TraceStore:
         memo_key = config.trace_key()
         fingerprint = self._trace_memo.get(memo_key)
         if fingerprint is None:
-            fingerprint = fingerprint_key(config.trace_store_key())
+            fingerprint = config.trace_store_fingerprint()
             self._trace_memo[memo_key] = fingerprint
         return self._attach(fingerprint, "solar")
 
@@ -476,7 +623,7 @@ class TraceStore:
         memo_key = config.schedule_key()
         fingerprint = self._schedule_memo.get(memo_key)
         if fingerprint is None:
-            fingerprint = fingerprint_key(config.schedule_store_key())
+            fingerprint = config.schedule_store_fingerprint()
             self._schedule_memo[memo_key] = fingerprint
         return self._attach(fingerprint, "events")
 
@@ -493,10 +640,9 @@ class TraceStore:
         Deduplicates by config cache key first (devices sharing a trace
         or schedule cost one generation), fans generation over forked
         workers when ``jobs`` allows (each worker writes whole segments
-        of ``_SEGMENT_ENTRIES``; the parent merges manifest entries and
-        saves once, and only when the manifest has unsaved entries), and
-        returns ``{"traces": ..., "schedules": ..., "reused": ...}``
-        counts.
+        of ``_SEGMENT_ENTRIES`` and their records; the parent merges the
+        entries), and returns ``{"traces": ..., "schedules": ...,
+        "reused": ...}`` counts.  Nothing already stored is rewritten.
         """
         trace_work: dict[tuple, "ExperimentConfig"] = {}
         schedule_work: dict[tuple, "ExperimentConfig"] = {}
@@ -505,25 +651,12 @@ class TraceStore:
             trace_work.setdefault(config.trace_key(), config)
             schedule_work.setdefault(config.schedule_key(), config)
 
-        wanted = [("solar", c.trace_store_key(), c) for c in trace_work.values()]
+        wanted = [("solar", c.trace_store_fingerprint(), c) for c in trace_work.values()]
         wanted += [
-            ("events", c.schedule_store_key(), c) for c in schedule_work.values()
+            ("events", c.schedule_store_fingerprint(), c)
+            for c in schedule_work.values()
         ]
-        items: list[tuple[str, str, dict, "ExperimentConfig"]] = []
-        reused = 0
-        for kind, key, config in wanted:
-            fingerprint = fingerprint_key(key)
-            if fingerprint in self._entries:
-                reused += 1
-            else:
-                items.append((kind, fingerprint, key, config))
-
-        def payloads(chunk):
-            for kind, _, key, config in chunk:
-                if kind == "solar":
-                    yield key, *self._trace_payload(key, config.build_trace())
-                else:
-                    yield key, *self._schedule_payload(key, config.build_schedule())
+        items = [item for item in wanted if item[1] not in self._entries]
 
         from repro.experiments.runner import map_indexed
 
@@ -536,7 +669,10 @@ class TraceStore:
 
         def build_chunk(index: int) -> tuple:
             chunk = chunks[index]
-            return self._write_segment([item[1] for item in chunk], payloads(chunk))
+            return self._write_segment(
+                [fingerprint for _, fingerprint, _ in chunk],
+                (self._config_payload(kind, config) for kind, _, config in chunk),
+            )
 
         done = 0
 
@@ -549,39 +685,38 @@ class TraceStore:
         for segment in map_indexed(build_chunk, len(chunks), jobs, on_result=on_result):
             self._add_segment(segment)
         traces = sum(item[0] == "solar" for item in items)
-        # The server calls this on every cold submit; rewriting an
-        # unchanged (and ever-growing) shared manifest would be wasted I/O.
-        if self._dirty:
-            self.save()
-        return {"traces": traces, "schedules": len(items) - traces, "reused": reused}
+        return {
+            "traces": traces,
+            "schedules": len(items) - traces,
+            "reused": len(wanted) - len(items),
+        }
 
     # -- integrity ------------------------------------------------------------
 
     def verify(self) -> list[str]:
-        """Re-check segments and entries against the manifest; returns problems."""
-        problems: list[str] = []
+        """Re-read the records and re-check every segment and entry they
+        name; returns problems (skipped records among them)."""
+        entries, segments, problems = self._read_records()
         intact = set()
-        for filename, size in sorted(self._segments.items()):
+        for filename, size in sorted(segments.items()):
             path = os.path.join(self.directory, filename)
             if not os.path.exists(path):
                 problems.append(f"{filename}: data file missing")
             elif os.path.getsize(path) != size:
                 problems.append(
-                    f"{filename}: size does not match the manifest's "
+                    f"{filename}: size does not match the record's "
                     f"{size} bytes (attach would refuse it)"
                 )
             else:
                 intact.add(filename)
-        for fingerprint, entry in sorted(self._entries.items()):
+        for fingerprint, entry in sorted(entries.items()):
             where = f"{entry['file']}@{entry['offset']}"
             expected = fingerprint_key(entry["key"])
             if expected != fingerprint:
                 problems.append(
-                    f"{where}: manifest fingerprint {fingerprint[:12]} "
+                    f"{where}: record fingerprint {fingerprint[:12]} "
                     f"does not match its key ({expected[:12]})"
                 )
-            if entry["file"] not in self._segments:
-                problems.append(f"{where}: segment size not in the manifest")
             if entry["file"] not in intact:
                 continue
             if int(np.prod(entry["shape"])) * 8 != entry["bytes"]:

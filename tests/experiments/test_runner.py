@@ -316,7 +316,6 @@ class TestTraceStoreReadThrough:
         store = TraceStore.create(str(tmp_path / "store"))
         for spec in specs:
             store.put_for_config(spec.seeded_config())
-        store.save()
         return store
 
     @pytest.fixture

@@ -171,7 +171,6 @@ class TestTraceStoreBacked:
         for device in range(spec.devices):
             _, config = spec.device_config(device)
             store.put_for_config(config)
-        store.save()
         return store
 
     def test_vector_outcomes_identical_with_store(self, tmp_path):
@@ -212,7 +211,6 @@ class TestTraceStoreBacked:
         store = TraceStore.create(tmp_path / "store")
         _, config = spec.device_config(0)
         store.put_for_config(config)  # only device 0's inputs
-        store.save()
         plain = run_shard(spec, 1, 0, kernel="vector")
         backed = run_shard(spec, 1, 0, kernel="vector", trace_store=store)
         assert backed == plain
@@ -358,11 +356,11 @@ class TestTraceResidency:
         forced = []
         real_rech = kernel._VectorBatch._rech
 
-        def rech(batch, m, count):
-            real_rech(batch, m, count)
+        def rech(batch, lanes):
+            real_rech(batch, lanes)
             if not forced:
                 unbuilt = ~batch.cum_built[batch.trow] & (batch.state != kernel._DONE)
-                columns = np.array([m.nonzero()[0][0], unbuilt.nonzero()[0][0]])
+                columns = np.array([lanes[0], unbuilt.nonzero()[0][0]])
                 forced.extend(batch.orig[columns].tolist())
                 batch._anomalize(columns)
 
@@ -423,6 +421,88 @@ class TestTraceResidency:
             expected = dataclasses.asdict(outcomes[256][device])
             assert dataclasses.asdict(outcomes[7][device]) == expected
             assert dataclasses.asdict(outcomes[1024][device]) == expected
+
+
+class TestRoundBookkeeping:
+    """What one lockstep round hands each handler: every lane in recharge
+    after ``_adv`` gets its tick that round, and refills skip finished
+    columns; neither may change a result."""
+
+    @staticmethod
+    def assert_matches_the_scalar_engine(spec, lanes, results):
+        for lane, metrics in zip(lanes, results):
+            expected = scalar_outcome(spec, lane.device)
+            assert dataclasses.asdict(metrics) == dataclasses.asdict(expected)
+
+    def test_lanes_entering_recharge_tick_in_the_same_round(self, monkeypatch):
+        import numpy as np
+
+        from repro.fleet import kernel
+
+        batch_type = kernel._VectorBatch
+        real_ctrl, real_adv, real_rech = batch_type._ctrl, batch_type._adv, batch_type._rech
+        log = []
+
+        def ctrl(batch, m, count):
+            log.append(("ctrl", None))
+            real_ctrl(batch, m, count)
+
+        def adv(batch, m, count):
+            before = np.count_nonzero(batch.state == kernel._RECHG)
+            real_adv(batch, m, count)
+            state = batch.state
+            newcomers = (state == kernel._RECHG).nonzero()[0]
+            # With a lane still in CTRL or ADV, the next handler call of a
+            # round that skipped recharge would be _ctrl or _adv.
+            busy = np.count_nonzero((state == kernel._CTRL) | (state == kernel._ADV))
+            log.append(("adv", newcomers if not before and newcomers.size and busy
+                        else None))
+
+        def rech(batch, lanes):
+            log.append(("rech", lanes.copy()))
+            real_rech(batch, lanes)
+
+        monkeypatch.setattr(batch_type, "_ctrl", ctrl)
+        monkeypatch.setattr(batch_type, "_adv", adv)
+        monkeypatch.setattr(batch_type, "_rech", rech)
+        spec = baseline_spec(40)
+        lanes = one_batch_of_lanes(spec)
+        results = batch_type(lanes, standard_policies()).run()
+        entered = [i for i, (name, new) in enumerate(log)
+                   if name == "adv" and new is not None]
+        assert entered, "no round moved a lane into recharge from none"
+        for i in entered:
+            assert log[i + 1][0] == "rech"
+            assert np.array_equal(log[i + 1][1], log[i][1])
+        self.assert_matches_the_scalar_engine(spec, lanes, results)
+
+    def test_refills_skip_finished_columns(self, monkeypatch):
+        import numpy as np
+
+        from repro.fleet import kernel
+
+        # A small chunk makes refills frequent enough to meet finished
+        # columns that are within one chunk of empty.
+        monkeypatch.setattr(kernel, "_CAP_CHUNK", 7)
+        real_refill = kernel._VectorBatch._refill
+        skipped = 0
+
+        def refill(batch, pos, fill, rngs, table, chunk):
+            nonlocal skipped
+            done = batch.state == kernel._DONE
+            before = fill.copy()
+            near = before - pos <= chunk
+            real_refill(batch, pos, fill, rngs, table, chunk)
+            assert np.array_equal(fill[done], before[done])
+            assert np.array_equal(fill[near & ~done], before[near & ~done] + chunk)
+            skipped += int(np.count_nonzero(near & done))
+
+        monkeypatch.setattr(kernel._VectorBatch, "_refill", refill)
+        spec = baseline_spec(40)
+        lanes = one_batch_of_lanes(spec)
+        results = kernel._VectorBatch(lanes, standard_policies()).run()
+        assert skipped > 0
+        self.assert_matches_the_scalar_engine(spec, lanes, results)
 
 
 class TestTraceWalks:

@@ -213,7 +213,6 @@ def test_store_attached_inputs(tmp_path):
     writer = TraceStore.create(tmp_path / "store")
     for mcu in MCUS:
         writer.put_for_config(config_for("crowded", mcu))
-    writer.save()
     store = TraceStore.open(tmp_path / "store")
     got = {}
     for policy, env, mcu in golden_keys("crowded"):

@@ -8,11 +8,13 @@ and attached arrays must stay file-backed so forked workers share one
 page-cache copy instead of duplicating the library per process.
 """
 
+import dataclasses
 import errno
 import gc
 import hashlib
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -25,16 +27,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.env.activity import APOLLO_ENVIRONMENTS
 from repro.env.events import EventSchedule
 from repro.errors import TraceError
 from repro.experiments.configs import apollo_simulation_config
 from repro.fleet.spec import FleetSpec
+from repro.trace import store as store_module
 from repro.trace.power_trace import PiecewiseConstantTrace
 from repro.trace.store import (
     _SEGMENT_ENTRIES,
-    _VERSION,
+    KeyTemplate,
     TraceStore,
     fingerprint_key,
+    schedule_store_key,
     solar_store_key,
 )
 from repro.trace.solar import SolarTraceConfig, SolarTraceGenerator
@@ -64,7 +69,6 @@ def assert_attaches_identically(store, config):
 def populated(tmp_path, config):
     store = TraceStore.create(tmp_path / "store")
     store.put_for_config(config)
-    store.save()
     return store
 
 
@@ -245,21 +249,26 @@ class TestBuildForSpec:
         store = TraceStore.create(tmp_path / "store")
         first = store.build_for_spec(self.SPEC)
         assert first["traces"] > 0 and first["reused"] == 0
-        manifest = os.path.join(store.directory, "manifest.json")
-        stat = os.stat(manifest)
-        before = (stat.st_mtime_ns, stat.st_ino)  # a rewrite replaces the inode
-        with open(manifest, "rb") as handle:
-            data = handle.read()
+
+        def snapshot():
+            # A rewrite replaces the inode, so (mtime, inode, bytes) of
+            # every file shows any write.
+            out = {}
+            for name in sorted(os.listdir(store.directory)):
+                path = os.path.join(store.directory, name)
+                stat = os.stat(path)
+                with open(path, "rb") as handle:
+                    out[name] = (stat.st_mtime_ns, stat.st_ino, handle.read())
+            return out
+
+        before = snapshot()
         again = TraceStore.open(store.directory).build_for_spec(self.SPEC)
         assert again == {
             "traces": 0,
             "schedules": 0,
             "reused": first["traces"] + first["schedules"],
         }
-        stat = os.stat(manifest)
-        assert (stat.st_mtime_ns, stat.st_ino) == before
-        with open(manifest, "rb") as handle:
-            assert handle.read() == data
+        assert snapshot() == before
 
     def test_forked_build_is_byte_identical(self, tmp_path):
         # Two segments, so jobs=2 really forks one writer per segment.
@@ -274,18 +283,44 @@ class TestBuildForSpec:
         assert forked.verify() == []
 
     def test_manifest_bytes_match_json_dump(self, tmp_path):
+        """Every record is the canonical (sorted-keys, compact) JSON of its
+        content, and holds each distinct params value once."""
         store = TraceStore.create(tmp_path / "store")
         store.build_for_spec(self.SPEC)
+        records = sorted(name for name in os.listdir(store.directory)
+                         if name.endswith(".json") and name != "manifest.json")
+        assert records == sorted(f"{name[:-4]}.json" for name in store._segments)
+        for name in records:
+            with open(os.path.join(store.directory, name), "rb") as handle:
+                data = handle.read()
+            record = json.loads(data)
+            assert data == json.dumps(
+                record, sort_keys=True, separators=(",", ":")
+            ).encode()
+            params = [json.dumps(p, sort_keys=True) for p in record["params"]]
+            assert len(set(params)) == len(params) < len(record["entries"])
         with open(os.path.join(store.directory, "manifest.json")) as handle:
-            text = handle.read()
-        expected = tmp_path / "expected.json"
-        with open(expected, "w", encoding="utf-8") as handle:
-            json.dump(
-                {"version": _VERSION, "entries": store._entries,
-                 "segments": store._segments},
-                handle, sort_keys=True, indent=None,
-            )
-        assert text == expected.read_text(encoding="utf-8")
+            assert json.load(handle) == {"version": 3}
+
+    def test_build_encodes_only_the_records_it_adds(self, tmp_path, monkeypatch):
+        store = TraceStore.create(tmp_path / "store")
+        store.build_for_spec(TestSegments.SPEC)
+        before = set(store._entries)
+        encoded = []
+        record_bytes = store_module._record_bytes
+
+        def spy(size, entries):
+            encoded.extend(fingerprint for fingerprint, _ in entries)
+            return record_bytes(size, entries)
+
+        monkeypatch.setattr(store_module, "_record_bytes", spy)
+        # The first 150 devices' entries are stored already.
+        wider = dataclasses.replace(TestSegments.SPEC, devices=170)
+        counts = store.build_for_spec(wider)
+        added = set(store._entries) - before
+        assert counts["traces"] + counts["schedules"] == len(added) > 0
+        assert sorted(encoded) == sorted(added)
+        assert len(TraceStore.open(store.directory)) == len(store)
 
 
 def src_env() -> dict:
@@ -304,8 +339,9 @@ class TestSegments:
     def test_entries_pack_into_fixed_segments(self, tmp_path):
         store = TraceStore.create(tmp_path / "store")
         store.build_for_spec(self.SPEC)
+        records = [f"{name[:-4]}.json" for name in store._segments]
         assert sorted(os.listdir(store.directory)) == sorted(
-            ["manifest.json", *store._segments]
+            ["manifest.json", *store._segments, *records]
         )
         per_segment = {}
         for entry in store._entries.values():
@@ -334,60 +370,162 @@ class TestSegments:
         assert open_fds() == before
 
 
-def write_v1_store(directory, configs) -> None:
-    """A store as written before segments: one ``.npy`` file per entry,
-    its payload offset recorded in a version-1 manifest."""
-    os.makedirs(directory)
-    entries = {}
-    for config in configs:
-        trace_key, schedule_key = config.trace_store_key(), config.schedule_store_key()
-        for key, (data, meta) in (
-            (trace_key, TraceStore._trace_payload(trace_key, config.build_trace())),
-            (schedule_key,
-             TraceStore._schedule_payload(schedule_key, config.build_schedule())),
-        ):
-            fingerprint = fingerprint_key(key)
-            filename = f"{key['kind']}-{fingerprint[:20]}.npy"
-            with open(os.path.join(directory, filename), "wb") as handle:
-                np.lib.format.write_array(handle, data, allow_pickle=False)
-                offset = handle.tell() - data.nbytes
-            entries[fingerprint] = {
-                "kind": key["kind"], "key": key, "file": filename,
-                "shape": list(data.shape), "offset": offset,
-                "bytes": data.nbytes, "sha256": hashlib.sha256(data).hexdigest(),
-                "meta": meta,
-            }
-    with open(os.path.join(directory, "manifest.json"), "w") as handle:
-        json.dump({"version": 1, "entries": entries}, handle, sort_keys=True)
+#: The manifest.json of a version-2 store (one manifest listing every
+#: entry with its full key), as the version-2 code wrote it for
+#: ``FleetSpec(devices=1, seed=5, n_events=4)``.
+V2_MANIFEST = os.path.join(os.path.dirname(__file__), "data", "store_v2_manifest.json")
 
 
-class TestManifestV1:
-    SPEC = FleetSpec(devices=6, seed=5, n_events=4)
+class TestOldManifests:
+    @pytest.mark.parametrize("opener", [TraceStore.open, TraceStore.create])
+    def test_v2_store_is_refused(self, tmp_path, opener):
+        directory = tmp_path / "v2"
+        directory.mkdir()
+        shutil.copy(V2_MANIFEST, directory / "manifest.json")
+        before = store_files(directory)
+        with pytest.raises(TraceError, match="manifest version 2; .*fresh store"):
+            opener(directory)
+        assert store_files(directory) == before
 
-    def test_v1_store_attaches_and_verifies(self, tmp_path):
-        configs = [self.SPEC.device_config(i)[1] for i in range(3)]
-        write_v1_store(tmp_path / "v1", configs)
-        store = TraceStore.open(tmp_path / "v1")
-        assert len(store) == 6
-        assert store.verify() == []
-        for config in configs:
-            assert_attaches_identically(store, config)
-
-    def test_build_appends_segments_and_saves_v2(self, tmp_path):
+    def test_v1_store_is_refused(self, tmp_path):
         directory = tmp_path / "v1"
-        old = [self.SPEC.device_config(i)[1] for i in range(2)]
-        write_v1_store(directory, old)
-        npy = sorted(name for name in os.listdir(directory) if name.endswith(".npy"))
-        counts = TraceStore.open(directory).build_for_spec(self.SPEC)
-        assert counts["reused"] == len(npy) == 4
-        with open(os.path.join(directory, "manifest.json")) as handle:
-            manifest = json.load(handle)
-        assert manifest["version"] == _VERSION
-        assert [name for name in manifest["segments"] if name.endswith(".npy")] == npy
-        reopened = TraceStore.open(directory)
-        assert reopened.verify() == []
-        for index in range(self.SPEC.devices):
-            assert_attaches_identically(reopened, self.SPEC.device_config(index)[1])
+        directory.mkdir()
+        (directory / "manifest.json").write_text(
+            json.dumps({"version": 1, "entries": {}}, sort_keys=True)
+        )
+        with pytest.raises(TraceError, match="manifest version 1"):
+            TraceStore.open(directory)
+
+
+class TestDamagedRecords:
+    """A record that is torn or names a missing segment costs a rebuild of
+    its entries, never a crash and never wrong bytes."""
+
+    SPEC = TestSegments.SPEC
+
+    @staticmethod
+    def rollup(spec, **kwargs) -> str:
+        from repro.fleet import run_fleet
+
+        result = run_fleet(spec, **kwargs)
+        return json.dumps(result.rollup.to_dict(), sort_keys=True)
+
+    def built(self, tmp_path):
+        store = TraceStore.create(tmp_path / "store")
+        store.build_for_spec(self.SPEC)
+        # Segments are written in build order, so the last entry's
+        # segment holds the final record.
+        final = list(store._entries.values())[-1]["file"]
+        lost = {fp for fp, entry in store._entries.items() if entry["file"] == final}
+        assert 0 < len(lost) < len(store)
+        return store, final, lost
+
+    def test_torn_final_record(self, tmp_path):
+        store, segment, lost = self.built(tmp_path)
+        record = os.path.join(store.directory, f"{segment[:-4]}.json")
+        with open(record, "rb") as handle:
+            intact = handle.read()
+        with open(record, "r+b") as handle:
+            handle.truncate(len(intact) // 2)
+
+        reopened = TraceStore.open(store.directory)
+        assert set(reopened._entries) == set(store._entries) - lost
+        assert segment not in reopened._segments
+        assert [p for p in reopened.verify() if "unreadable record" in p]
+        plain = self.rollup(self.SPEC)
+        assert self.rollup(self.SPEC, trace_store=reopened) == plain
+
+        counts = reopened.build_for_spec(self.SPEC)
+        assert counts["traces"] + counts["schedules"] == len(lost)
+        assert counts["reused"] == len(store) - len(lost)
+        with open(record, "rb") as handle:
+            assert handle.read() == intact
+        rebuilt = TraceStore.open(store.directory)
+        assert set(rebuilt._entries) == set(store._entries)
+        assert rebuilt.verify() == []
+        assert self.rollup(self.SPEC, trace_store=rebuilt) == plain
+
+    def test_record_naming_a_missing_segment_is_a_miss(self, tmp_path):
+        store, segment, lost = self.built(tmp_path)
+        configs = [self.SPEC.device_config(i)[1] for i in range(self.SPEC.devices)]
+        # The final segment holds schedules (traces are built first).
+        missing = [c for c in configs if c.schedule_store_fingerprint() in lost]
+        assert missing
+        os.remove(os.path.join(store.directory, segment))
+        # Removed under an open store: the attach is a miss.
+        assert store.schedule_for(missing[0]) is None
+        # Reopened: the record is skipped, and only it.
+        reopened = TraceStore.open(store.directory)
+        assert set(reopened._entries) == set(store._entries) - lost
+        assert reopened.schedule_for(missing[0]) is None
+        assert any("data file missing" in p for p in reopened.verify())
+        counts = reopened.build_for_spec(self.SPEC)
+        assert counts["traces"] + counts["schedules"] == len(lost)
+        assert TraceStore.open(store.directory).verify() == []
+        assert_attaches_identically(reopened, missing[0])
+
+
+#: SHA-256 fingerprints of solar keys ``(cells, seed)`` and 40-event
+#: schedule keys ``(environment, seed)``, recorded from the version-2
+#: store code: a fingerprint names an entry in every store ever written.
+GOLDEN_SOLAR_FINGERPRINTS = {
+    (1, 3): "3e0ed5d15186daa496dd6d4df81577aa7fbd3a33da19d59d79a727d9e5ad1af0",
+    (1, 1234567): "0c047fab7903cbb16a31c4213284fa222e4bdacc40862ed28a873f3db6c1e9da",
+    (6, 3): "5c3f8364bd4e808b1ea579e5a4ca95436cef144c9d70d44c68ca852b8558d69e",
+    (6, 1234567): "6db032d0e5ed76df55030494708de12080dbaf443086ec33263accc4d1fa882f",
+    (10, 3): "9d64f1e8d6170ca2ef25cf550889dbaf53349f513d5021d8b635ae49bbb3ab54",
+    (10, 1234567): "72aaa5e66f4ec52eb285cc5eaa83fafbb7f909ed414030d50db7e0ef363ba5bb",
+}
+GOLDEN_EVENT_FINGERPRINTS = {
+    ("More Crowded", 10): "4dbdabd0bcd7ede85ef8dcd06975ff3199bd9f042a370523195c69f7fef52620",
+    ("More Crowded", 99): "34f464af62a9c2a5e3023093295fa8243b5717da634128627881ef244449c864",
+    ("Crowded", 10): "1953555c13f61e5712f18f75e2bb1e79d34aeb444aa44134b881d9943bf03780",
+    ("Crowded", 99): "a5203d1be2d84a10b7eb6eb315bc19b66bdfc3c7727ac734326c317dc9b71e5f",
+    ("Less Crowded", 10): "5eedfef482cd3ff16e3d482089a9257b5f6ef778c84fd2413aaa7e4f08f338f3",
+    ("Less Crowded", 99): "77994357c3f561923ab024de0ddeb230304dce1489374667a15c0b6360303008",
+}
+#: SHA-256 of each segment file ``TestSegments.SPEC`` builds, recorded
+#: from the version-2 store code: the payload bytes never move.
+GOLDEN_SEGMENTS = {
+    "seg-e9c702365c9cac50a517.bin": "0753379b5663c2cb94dddf97537d4ebdcaca0fa1dc162c76d562f070c65b9b5a",
+    "seg-f7d7c688d9c071580023.bin": "b963d893dfe8c78b5c7c4317c09e95c37763e558a8237cf3723bb5bbc1a477c8",
+}
+
+
+class TestGoldenIdentity:
+    @pytest.mark.parametrize("cells,seed", sorted(GOLDEN_SOLAR_FINGERPRINTS))
+    def test_solar_fingerprint(self, cells, seed):
+        solar = SolarTraceConfig(cells=cells)
+        want = GOLDEN_SOLAR_FINGERPRINTS[(cells, seed)]
+        assert fingerprint_key(solar_store_key(solar, seed)) == want
+        assert KeyTemplate(solar_store_key(solar, 0)).fingerprint(seed) == want
+        config = dataclasses.replace(small_config(), cells=cells, trace_seed=seed)
+        assert config.trace_store_fingerprint() == want
+        assert fingerprint_key(config.trace_store_key()) == want
+
+    @pytest.mark.parametrize("env,seed", sorted(GOLDEN_EVENT_FINGERPRINTS))
+    def test_event_fingerprint(self, env, seed):
+        (environment,) = [e for e in APOLLO_ENVIRONMENTS if e.name == env]
+        want = GOLDEN_EVENT_FINGERPRINTS[(env, seed)]
+        key = schedule_store_key(environment.generator, 40, seed)
+        assert fingerprint_key(key) == want
+        template = KeyTemplate(schedule_store_key(environment.generator, 40, 0))
+        assert template.fingerprint(seed) == want
+        assert template.key(seed) == key
+        config = dataclasses.replace(
+            small_config(), environment=environment, n_events=40, schedule_seed=seed
+        )
+        assert config.schedule_store_fingerprint() == want
+
+    def test_segment_bytes(self, tmp_path):
+        store = TraceStore.create(tmp_path / "store")
+        store.build_for_spec(TestSegments.SPEC)
+        digests = {
+            name: hashlib.sha256(data).hexdigest()
+            for name, data in store_files(store.directory).items()
+            if name.endswith(".bin")
+        }
+        assert digests == GOLDEN_SEGMENTS
 
 
 class TestKilledBuild:
@@ -465,7 +603,6 @@ class TestSharedMapping:
         ]
         for variant in variants:
             store.put_for_config(variant)
-        store.save()
         payload_kb = store.nbytes() // 1024
         assert payload_kb > 512
 
@@ -637,9 +774,11 @@ class TestCli:
         assert main(["store", "verify", store_dir]) == 0
         out = capsys.readouterr().out
         assert "entries" in listing and "all digests match" in out
-        # Every listed entry lives in the one segment beside the manifest.
-        (segment,) = set(os.listdir(store_dir)) - {"manifest.json"}
+        # Every listed entry lives in the one segment beside the manifest
+        # and the segment's record.
+        segment, record = sorted(set(os.listdir(store_dir)) - {"manifest.json"})
         assert segment.startswith("seg-") and segment.endswith(".bin")
+        assert record == f"{segment[:-4]}.json"
         rows = [line for line in listing.splitlines() if line.startswith("  ")]
         assert rows and all(row.endswith(segment) for row in rows)
         assert f"verified {len(rows)} entries" in out
