@@ -23,6 +23,12 @@ that flag group:
 
 ``tests/test_cli_flags.py`` pins that all three parsers accept exactly
 this core set, so the CLIs cannot drift apart again.
+
+The fleet-shaping flags (``--seed``, ``--name``, ``--events``,
+``--policies``, ``--environments``, ``--mcus``, ``--cells``, ``--buffer``)
+and their :class:`~repro.fleet.spec.FleetSpec` builder are shared the
+same way by ``python -m repro.fleet`` and ``python -m repro.trace store
+build``; each declares its own ``--devices``.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ __all__ = [
     "CORE_FLAGS",
     "add_core_flags",
     "add_execution_flags",
+    "add_fleet_spec_flags",
+    "fleet_spec_from_args",
     "jobs_from_args",
     "profiled",
 ]
@@ -115,6 +123,57 @@ def add_core_flags(parser: argparse.ArgumentParser) -> None:
         metavar="PREFIX",
         help="write the run's metrics registry as PREFIX.prom "
         "(Prometheus text) plus PREFIX.json",
+    )
+
+
+def _csv(text: str) -> tuple:
+    return tuple(item.strip() for item in text.split(",") if item.strip())
+
+
+def _int_csv(text: str) -> tuple:
+    return tuple(int(item) for item in _csv(text))
+
+
+def add_fleet_spec_flags(parser: argparse.ArgumentParser) -> None:
+    """Install the eight fleet-shaping flags read by :func:`fleet_spec_from_args`."""
+    parser.add_argument("--seed", type=int, default=0, help="fleet seed")
+    parser.add_argument("--name", type=str, default="fleet", help="fleet label")
+    parser.add_argument("--events", type=int, default=50, metavar="N",
+                        help="events per device schedule (default 50)")
+    parser.add_argument("--policies", type=_csv, default=None, metavar="CSV",
+                        help="policy mix, e.g. QZ,NA,TH50 (standard-grid names)")
+    parser.add_argument("--environments", type=_csv, default=None, metavar="CSV",
+                        help='environment mix, e.g. "crowded,less crowded"')
+    parser.add_argument("--mcus", type=_csv, default=None, metavar="CSV",
+                        help="MCU mix, e.g. apollo4,msp430")
+    parser.add_argument("--cells", type=_int_csv, default=None, metavar="CSV",
+                        help="harvester cell-count mix, e.g. 4,6,8")
+    parser.add_argument("--buffer", type=int, default=10, metavar="N",
+                        help="input-buffer capacity (0 = unbounded Ideal buffer)")
+
+
+def fleet_spec_from_args(args: argparse.Namespace):
+    """The :class:`~repro.fleet.spec.FleetSpec` of ``args.devices`` and the
+    shaping flags; an unset mix flag keeps the spec's default mix."""
+    from repro.fleet.spec import FleetSpec
+
+    overrides = {
+        key: value
+        for key, value in (
+            ("policies", args.policies),
+            ("environments", args.environments),
+            ("mcus", args.mcus),
+            ("cells", args.cells),
+        )
+        if value is not None
+    }
+    return FleetSpec(
+        devices=args.devices,
+        seed=args.seed,
+        name=args.name,
+        n_events=args.events,
+        buffer_capacity=None if args.buffer == 0 else args.buffer,
+        **overrides,
     )
 
 

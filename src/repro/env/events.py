@@ -18,6 +18,7 @@ of longer events.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["Event", "EventSchedule", "EventCursor", "EventScheduleGenerator"]
+__all__ = ["Event", "EventSchedule", "EventScheduleGenerator"]
 
 
 @dataclass(frozen=True)
@@ -66,9 +67,13 @@ class Event:
 class EventSchedule:
     """An ordered, non-overlapping sequence of events.
 
-    Provides O(log n) point queries used by the capture process: *is any
-    event active at time t, and is it interesting?* — exactly the two I/O
-    pins of the paper's hardware methodology (section 6.2).
+    Stored as three columns — float64 ``starts`` and ``durations`` and a
+    bool ``interesting`` flag, in event order (:meth:`arrays`).  Point
+    queries answer the two I/O pins of the paper's hardware methodology
+    (section 6.2): *is any event active at time t, and is it
+    interesting?*  :class:`Event` objects are built once, on the first
+    iteration or index, and cached; the simulation engine reads the
+    columns and never builds one.
 
     ``diff_probability`` is the probability that a capture taken *during an
     event* passes the pixel-differencing filter (i.e. the frame actually
@@ -99,16 +104,17 @@ class EventSchedule:
                 "background_diff_probability must be in [0, 1], got "
                 f"{background_diff_probability}"
             )
-        self.diff_probability = diff_probability
-        self.background_diff_probability = background_diff_probability
         events = sorted(events, key=lambda e: e.start)
-        for prev, cur in zip(events, events[1:]):
-            if cur.start < prev.end:
-                raise ConfigurationError(
-                    f"events overlap: one ends at {prev.end}, next starts at {cur.start}"
-                )
-        self._events: tuple[Event, ...] = tuple(events)
-        self._starts = [e.start for e in self._events]
+        starts = [e.start for e in events]
+        durations = [e.duration for e in events]
+        _check_events(starts, durations)
+        self._init_columns(
+            np.array(starts, dtype=np.float64),
+            np.array(durations, dtype=np.float64),
+            np.array([e.interesting for e in events], dtype=bool),
+            diff_probability,
+            background_diff_probability,
+        )
 
     @classmethod
     def _from_arrays(
@@ -123,29 +129,73 @@ class EventSchedule:
 
         The trace-store attach path: the arrays were persisted from an
         already-validated schedule (sorted, non-overlapping, positive
-        durations), so ordering checks and per-event ``__post_init__``
-        validation are skipped.  The :class:`Event` tuple itself is
-        materialized lazily on first access — the vector kernel reads
-        only :meth:`arrays`, so store-backed lanes never pay for the
-        per-event objects unless a scalar fallback needs them.
+        durations), so the checks are skipped and the columns may stay
+        views of the store's segment.
         """
         schedule = cls.__new__(cls)
-        schedule.diff_probability = diff_probability
-        schedule.background_diff_probability = background_diff_probability
-        schedule._arrays = (
+        schedule._init_columns(
             np.asarray(starts, dtype=np.float64),
             np.asarray(durations, dtype=np.float64),
             np.asarray(interesting, dtype=bool),
+            diff_probability,
+            background_diff_probability,
         )
         return schedule
 
-    def __getattr__(self, name: str):
-        # Lazy materialization for _from_arrays instances; every other
-        # missing attribute is a genuine AttributeError.
-        if name == "_events":
+    def _init_columns(
+        self, starts, durations, interesting, diff_probability,
+        background_diff_probability,
+    ) -> None:
+        self.diff_probability = diff_probability
+        self.background_diff_probability = background_diff_probability
+        self._arrays = (starts, durations, interesting)
+        self._events: tuple[Event, ...] | None = None
+        self._lookup: tuple[list, list, list] | None = None
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(starts, durations, interesting)`` column arrays.
+
+        The layout the trace store persists and the vector kernel's event
+        tables load from (``end = start + duration`` element-wise
+        reproduces ``Event.end`` exactly).
+        """
+        return self._arrays
+
+    def _lookup_lists(self) -> tuple[list, list, list]:
+        """``(starts, ends, interesting)`` as Python lists, cached.
+
+        The point queries' tables: ``ends`` is ``start + duration`` (the
+        ``Event.end`` float op), and ``starts`` carries one trailing
+        ``inf`` so a forward scan stops at the last event without a
+        bounds check.
+        """
+        lookup = self._lookup
+        if lookup is None:
+            starts, durations, interesting = self._arrays
+            lookup = self._lookup = (
+                starts.tolist() + [math.inf],
+                (starts + durations).tolist(),
+                interesting.tolist(),
+            )
+        return lookup
+
+    def __len__(self) -> int:
+        return self._arrays[0].shape[0]
+
+    def __iter__(self) -> Iterator[Event]:
+        return iter(self.events)
+
+    def __getitem__(self, idx: int) -> Event:
+        return self.events[idx]
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        """The schedule as :class:`Event` objects, built on first use."""
+        events = self._events
+        if events is None:
             starts, durations, interesting = self._arrays
             make, setattr_ = Event.__new__, object.__setattr__
-            events = []
+            built = []
             for s, d, i in zip(
                 starts.tolist(), durations.tolist(), interesting.tolist()
             ):
@@ -153,75 +203,30 @@ class EventSchedule:
                 setattr_(ev, "start", s)
                 setattr_(ev, "duration", d)
                 setattr_(ev, "interesting", i)
-                events.append(ev)
-            self._events = value = tuple(events)
-            return value
-        if name == "_starts":
-            value = [e.start for e in self._events]
-            self._starts = value
-            return value
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(starts, durations, interesting)`` column arrays, cached.
-
-        The canonical columnar view of the schedule: float64 start times
-        and durations plus a bool interesting flag, in event order.  This
-        is the layout the trace store persists and the vector kernel's
-        event tables load from (``end = start + duration`` element-wise
-        reproduces ``Event.end`` exactly).
-        """
-        cached = getattr(self, "_arrays", None)
-        if cached is None:
-            events = self._events
-            cached = self._arrays = (
-                np.array([e.start for e in events], dtype=np.float64),
-                np.array([e.duration for e in events], dtype=np.float64),
-                np.array([e.interesting for e in events], dtype=bool),
-            )
-        return cached
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self._events)
-
-    def __getitem__(self, idx: int) -> Event:
-        return self._events[idx]
-
-    @property
-    def events(self) -> tuple[Event, ...]:
-        return self._events
+                built.append(ev)
+            events = self._events = tuple(built)
+        return events
 
     @property
     def end_time(self) -> float:
         """Time at which the last event ends (0 for an empty schedule)."""
-        arrays = getattr(self, "_arrays", None)
-        if arrays is not None:
-            # Store-attached path: float(start) + float(duration) is the
-            # exact op sequence of Event.end, without materializing the
-            # event tuple.
-            starts, durations, _ = arrays
-            if starts.shape[0] == 0:
-                return 0.0
-            return float(starts[-1]) + float(durations[-1])
-        return self._events[-1].end if self._events else 0.0
+        starts, durations, _ = self._arrays
+        if starts.shape[0] == 0:
+            return 0.0
+        return float(starts[-1]) + float(durations[-1])
 
     @property
     def interesting_count(self) -> int:
         """Number of interesting events in the schedule."""
-        return sum(1 for e in self._events if e.interesting)
+        return int(np.count_nonzero(self._arrays[2]))
 
     def event_at(self, t: float) -> Event | None:
         """Return the event active at time ``t``, or ``None``."""
-        idx = bisect.bisect_right(self._starts, t) - 1
-        if idx < 0:
-            return None
-        ev = self._events[idx]
-        return ev if ev.active_at(t) else None
+        starts, ends, _ = self._lookup_lists()
+        idx = bisect.bisect_right(starts, t, 0, len(ends)) - 1
+        if idx >= 0 and t < ends[idx]:
+            return self.events[idx]
+        return None
 
     def active_at(self, t: float) -> bool:
         """'Different' pin: is any event in progress at ``t``?"""
@@ -234,60 +239,26 @@ class EventSchedule:
 
     def total_interesting_seconds(self) -> float:
         """Total duration (s) covered by interesting events."""
-        return sum(e.duration for e in self._events if e.interesting)
+        _, durations, interesting = self._arrays
+        return sum(
+            d for d, i in zip(durations.tolist(), interesting.tolist()) if i
+        )
 
-    def cursor(self) -> "EventCursor":
-        """An :class:`EventCursor` for O(1) amortized monotone point queries."""
-        return EventCursor(self)
 
-
-class EventCursor:
-    """Stateful monotone-access view of an :class:`EventSchedule`.
-
-    The capture process queries the schedule at strictly increasing times
-    (one query per capture tick), so the active event index only ever moves
-    forward, usually by zero or one.  The cursor caches that index and
-    re-validates it with two comparisons; queries that jump backward (or far
-    ahead) fall back to ``bisect`` and re-seed the cache.  ``event_at``
-    always returns what :meth:`EventSchedule.event_at` does.
-    """
-
-    __slots__ = ("schedule", "_events", "_starts", "_ends", "_n", "_idx")
-
-    def __init__(self, schedule: EventSchedule) -> None:
-        self.schedule = schedule
-        self._events = schedule._events
-        self._starts = schedule._starts
-        # Pre-resolved end times: Event.end is a computed property, and the
-        # capture loop asks "still active?" once per tick, so paying the
-        # start+duration addition once here keeps the per-query cost at two
-        # float compares.
-        self._ends = [e.start + e.duration for e in self._events]
-        self._n = len(self._starts)
-        self._idx = 0
-
-    def event_at(self, t: float) -> Event | None:
-        """Return the event active at time ``t``, or ``None``."""
-        n = self._n
-        if n == 0:
-            return None
-        starts = self._starts
-        idx = self._idx
-        if starts[idx] <= t:
-            nxt = idx + 1
-            if nxt < n and starts[nxt] <= t:
-                idx += 1
-                nxt += 1
-                if nxt < n and starts[nxt] <= t:
-                    idx = bisect.bisect_right(starts, t) - 1
-                self._idx = idx
-        else:
-            idx = bisect.bisect_right(starts, t) - 1
-            self._idx = idx if idx >= 0 else 0
-            if idx < 0:
-                return None
-        # Here starts[idx] <= t, so active_at reduces to t < end.
-        return self._events[idx] if t < self._ends[idx] else None
+def _check_events(starts: list, durations: list) -> None:
+    """Reject start-sorted events that do not form a schedule: the
+    :class:`Event` checks (start >= 0, duration > 0) and no overlap."""
+    prev_end = -math.inf
+    for start, duration in zip(starts, durations):
+        if start < 0:
+            raise ConfigurationError(f"event start must be >= 0, got {start}")
+        if duration <= 0:
+            raise ConfigurationError(f"event duration must be > 0, got {duration}")
+        if start < prev_end:
+            raise ConfigurationError(
+                f"events overlap: one ends at {prev_end}, next starts at {start}"
+            )
+        prev_end = start + duration
 
 
 @dataclass(frozen=True)
@@ -360,26 +331,30 @@ class EventScheduleGenerator:
         if n_events < 0:
             raise ConfigurationError(f"n_events must be >= 0, got {n_events}")
         rng = np.random.default_rng(seed)
-        events: list[Event] = []
+        gap_mu = np.log(self.interarrival_median_s)
+        duration_mu = np.log(self.duration_median_s)
+        starts: list[float] = []
+        durations: list[float] = []
+        interesting: list[bool] = []
         t = start_time
         for _ in range(n_events):
-            gap = float(
-                rng.lognormal(np.log(self.interarrival_median_s), self.interarrival_sigma)
-            )
-            interesting = bool(rng.random() < self.interesting_probability)
-            duration = float(
-                rng.lognormal(np.log(self.duration_median_s), self.duration_sigma)
-            )
+            gap = float(rng.lognormal(gap_mu, self.interarrival_sigma))
+            interesting.append(bool(rng.random() < self.interesting_probability))
+            duration = float(rng.lognormal(duration_mu, self.duration_sigma))
             duration = max(self.min_duration_s, duration)
             # Interesting durations are capped per Table 1; uninteresting
             # events use the same cap so environments differ only in the
             # advertised knob.
             duration = min(duration, self.max_interesting_duration_s)
             t += gap
-            events.append(Event(start=t, duration=duration, interesting=interesting))
+            starts.append(t)
+            durations.append(duration)
             t += duration
-        return EventSchedule(
-            events,
-            diff_probability=self.diff_probability,
-            background_diff_probability=self.background_diff_probability,
+        _check_events(starts, durations)
+        return EventSchedule._from_arrays(
+            np.array(starts, dtype=np.float64),
+            np.array(durations, dtype=np.float64),
+            np.array(interesting, dtype=bool),
+            self.diff_probability,
+            self.background_diff_probability,
         )

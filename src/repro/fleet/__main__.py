@@ -32,18 +32,16 @@ import json
 import sys
 import time
 
-from repro.cli import add_core_flags, jobs_from_args, profiled
+from repro.cli import (
+    add_core_flags,
+    add_fleet_spec_flags,
+    fleet_spec_from_args,
+    jobs_from_args,
+    profiled,
+)
 from repro.errors import ConfigurationError, TraceError
 from repro.fleet.service import run_fleet
 from repro.fleet.spec import FleetSpec
-
-
-def _csv(text: str) -> tuple:
-    return tuple(item.strip() for item in text.split(",") if item.strip())
-
-
-def _int_csv(text: str) -> tuple:
-    return tuple(int(item) for item in _csv(text))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,20 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shards", type=int, default=1, metavar="K",
                         help="work units the fleet is split into (default 1; "
                         "results are shard-invariant)")
-    parser.add_argument("--seed", type=int, default=0, help="fleet seed")
-    parser.add_argument("--name", type=str, default="fleet", help="fleet label")
-    parser.add_argument("--events", type=int, default=50, metavar="N",
-                        help="events per device schedule (default 50)")
-    parser.add_argument("--policies", type=_csv, default=None, metavar="CSV",
-                        help="policy mix, e.g. QZ,NA,TH50 (standard-grid names)")
-    parser.add_argument("--environments", type=_csv, default=None, metavar="CSV",
-                        help='environment mix, e.g. "crowded,less crowded"')
-    parser.add_argument("--mcus", type=_csv, default=None, metavar="CSV",
-                        help="MCU mix, e.g. apollo4,msp430")
-    parser.add_argument("--cells", type=_int_csv, default=None, metavar="CSV",
-                        help="harvester cell-count mix, e.g. 4,6,8")
-    parser.add_argument("--buffer", type=int, default=10, metavar="N",
-                        help="input-buffer capacity (0 = unbounded Ideal buffer)")
+    add_fleet_spec_flags(parser)
     parser.add_argument("--kernel-stats", action="store_true",
                         help="print the vector kernel's per-phase timing "
                         "breakdown (setup / CTRL / ADV / RECHG / fallback) "
@@ -119,24 +104,7 @@ def _spec_from_args(args, parser) -> FleetSpec:
             return FleetSpec.from_json(handle.read())
     if args.devices is None:
         parser.error("either --devices or --spec is required")
-    overrides = {
-        key: value
-        for key, value in (
-            ("policies", args.policies),
-            ("environments", args.environments),
-            ("mcus", args.mcus),
-            ("cells", args.cells),
-        )
-        if value is not None
-    }
-    return FleetSpec(
-        devices=args.devices,
-        seed=args.seed,
-        name=args.name,
-        n_events=args.events,
-        buffer_capacity=None if args.buffer == 0 else args.buffer,
-        **overrides,
-    )
+    return fleet_spec_from_args(args)
 
 
 def main(argv: list[str] | None = None) -> int:

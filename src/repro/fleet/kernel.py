@@ -1007,7 +1007,7 @@ class _VectorBatch:
     # ------------------------------------------------------------- captures --
 
     def _fire_due_captures(self, lanes, t, limit) -> None:
-        """Engine ``_fire_due_captures`` fast body, one tick per pass.
+        """Engine ``_fire_due_captures`` body, one tick per pass.
 
         Callers pass ``t = cap_idx * CAPP`` for lanes they already proved
         due (the boundary reached the next capture tick) and ``limit`` as
@@ -1018,7 +1018,7 @@ class _VectorBatch:
             # captures_total is not counted here: every fired tick bumps
             # ``cap_idx`` below, so it is always ``cap_idx - 1`` (both
             # start one apart) and the harvest derives it for free.
-            # EventCursor.event_at: monotone advance over start times.
+            # The engine's event lookup: monotone advance over start times.
             # The cached ``ev_next_start`` row decides whether any lane
             # moves this tick; only movers touch the 2D event tables.
             adv = (self.ev_next_start[lanes] <= t).nonzero()[0]

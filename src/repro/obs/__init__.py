@@ -14,9 +14,11 @@ Three layers over one event model (see DESIGN.md "Observability"):
   ``run_fleet``.
 
 Everything here is strictly opt-in: with no tracer/registry/publisher
-attached, the engine and kernel hot paths are byte-for-byte the
-pre-observability code (``TestUntracedCaptureFastPath`` in
-``tests/obs/test_engine_tracing.py`` pins the untraced capture path).
+attached, the engine and kernel skip every emit, and results are
+bit-identical either way.  A traced scalar run fires its captures through
+the same body as an untraced one (``TestCaptureStream`` in
+``tests/obs/test_engine_tracing.py`` pins the capture totals and digests
+the traced rows).
 """
 
 from repro.obs.events import EVENT_KINDS, SPAN_KINDS, TraceEvent

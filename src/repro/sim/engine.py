@@ -139,9 +139,8 @@ class SimulationEngine:
         self.config = config or SimulationConfig()
         #: Optional :class:`repro.obs.TraceSink` receiving typed timeline
         #: events (capture/decision/ibo/power_fail/checkpoint/restore/
-        #: recharge) — the engine's one observer hook.  Attaching one
-        #: routes captures through the traced ``_do_capture`` body; results
-        #: stay bit-identical.
+        #: recharge) — the engine's one observer hook.  Results stay
+        #: bit-identical with or without one.
         self.tracer = tracer
 
         self.buffer = InputBuffer(self.config.buffer_capacity)
@@ -163,9 +162,8 @@ class SimulationEngine:
         self.now = 0.0
         self.hard_end = self.schedule.end_time + self.config.drain_timeout_s
         self._capture_index = 1  # first capture at one full period
-        # Hot-path query objects: stateful monotone cursors.
+        # Hot-path trace queries: a stateful monotone cursor.
         self._tq = trace.cursor()
-        self._sq = schedule.cursor()
         # The fused recharge loop skips `time_to_harvest` on ticks where the
         # restart level is unreachable; that shortcut needs the guarantee
         # that the trace can always eventually refill the store (periodic
@@ -179,9 +177,9 @@ class SimulationEngine:
         # scalar draws).
         self._rng_chunk: list[float] = []
         self._rng_pos = 0
-        self._diff_p = schedule.diff_probability
-        self._bg_diff_p = schedule.background_diff_probability
-        self._entry_job = app.entry_job
+        # Index of the last event started by the latest capture tick (the
+        # monotone event lookup in _fire_due_captures).
+        self._ev_idx = 0
         self._charge_overhead = self.config.charge_policy_overhead
         # Policies that keep the base class's no-op observers (on_capture /
         # on_job_complete are documentation-only `pass` bodies on Policy)
@@ -243,29 +241,23 @@ class SimulationEngine:
             tq._n,
             tq._period,
         )
-        # Loop-invariant capture-firing state for the inlined capture loops
-        # (_advance_to's boundary firing and _fire_due_captures' fast
-        # body), including the EventCursor internals so the per-capture
-        # event lookup runs without a call frame.  The dicts are the
-        # buffer's internals by identity; the buffer only replaces them in
-        # clear(), after the last capture of the run.
-        sq = self._sq
+        # Loop-invariant capture-firing state, including the schedule's
+        # lookup lists.  The dicts are the buffer's internals by identity;
+        # the buffer only replaces them in clear(), after the last capture
+        # of the run.
         self._cap_consts = (
-            self.tracer is None,
-            sq,
-            sq._starts,
-            sq._ends,
-            sq._events,
-            sq._n,
-            self._diff_p,
-            self._bg_diff_p,
+            self.config.capture_period_s,
+            self.tracer,
+            *schedule._lookup_lists(),
+            schedule.diff_probability,
+            schedule.background_diff_probability,
             self._on_capture_hook,
             self.buffer,
             self.buffer._entries,
             self.buffer._by_job,
             self.buffer._stats,
             self.buffer._capacity,
-            self._entry_job,
+            app.entry_job,
         )
         self._ran = False
 
@@ -349,34 +341,20 @@ class SimulationEngine:
             raise _RunEnded
 
     def _fire_due_captures(self) -> None:
-        cap_period = self.config.capture_period_s
-        limit = self.now + TIME_EPSILON
-        idx = self._capture_index
-        t = idx * cap_period
-        if t > limit:
-            return
-        if self.tracer is not None:
-            while t <= limit:
-                self._do_capture(t)
-                idx = self._capture_index = idx + 1
-                t = idx * cap_period
-            return
-        # _do_capture + InputBuffer.try_insert inlined with the
-        # loop-invariant state hoisted — captures are the highest-frequency
-        # event in a run (~3x decisions), and each _do_capture call
-        # re-loads a dozen attributes.  Same draws from the same RNG
-        # stream, same metric increments (captures_total is batched:
-        # integer adds commute and nothing reads it mid-loop), same insert
-        # state transitions; the traced path above keeps the readable
-        # body, which also emits the capture and ibo events.
-        metrics = self.metrics
+        """Fire every capture tick due by ``now`` — the one capture body.
+
+        Per tick: look up the event in progress, draw the differencing
+        filter, then insert the input or count an IBO drop.  An attached
+        sink gets the ``capture`` row before the policy's ``on_capture``
+        hook and the ``ibo`` row after the drop is counted.  Captures touch
+        neither the store nor the energy metrics.
+        """
         (
-            _,
-            ev_cur,
+            cap_period,
+            tracer,
             ev_starts,
             ev_ends,
-            ev_events,
-            ev_n,
+            ev_interesting,
             diff_p,
             bg_diff_p,
             hook,
@@ -387,60 +365,76 @@ class SimulationEngine:
             cap,
             entry_job,
         ) = self._cap_consts
+        limit = self.now + TIME_EPSILON
+        idx = self._capture_index
+        t = idx * cap_period
+        if t > limit:
+            return
+        metrics = self.metrics
         chunk = self._rng_chunk
         pos = self._rng_pos
+        eidx = self._ev_idx
         fired = 0
         while t <= limit:
             fired += 1
-            # EventCursor.event_at inlined (same index cache discipline and
-            # the same bisect fallback — identical results, no call frame).
-            if ev_n:
-                eidx = ev_cur._idx
-                if ev_starts[eidx] <= t:
-                    nxt = eidx + 1
-                    if nxt < ev_n and ev_starts[nxt] <= t:
-                        eidx += 1
-                        nxt += 1
-                        if nxt < ev_n and ev_starts[nxt] <= t:
-                            eidx = bisect_right(ev_starts, t) - 1
-                        ev_cur._idx = eidx
-                    ev = ev_events[eidx] if t < ev_ends[eidx] else None
-                else:
-                    eidx = bisect_right(ev_starts, t) - 1
-                    ev_cur._idx = eidx if eidx >= 0 else 0
-                    ev = (
-                        ev_events[eidx]
-                        if eidx >= 0 and t < ev_ends[eidx]
-                        else None
-                    )
+            # Capture times only increase, so the event index moves forward,
+            # usually by zero or one step; a longer jump bisects.  Before the
+            # first event starts, eidx stays 0 and no event is in progress.
+            # The trailing inf start stops the scan after the last event.
+            if ev_starts[eidx] <= t:
+                nxt = eidx + 1
+                if ev_starts[nxt] <= t:
+                    eidx = nxt
+                    if ev_starts[nxt + 1] <= t:
+                        eidx = bisect_right(ev_starts, t) - 1
+                in_event = t < ev_ends[eidx]
             else:
-                ev = None
+                in_event = False
+            # One draw per capture keeps the arrival stream identical across
+            # policies at a given seed, whether or not an event is in
+            # progress.  Draws are prefetched in chunks from the same stream.
             if pos == len(chunk):
                 chunk = self._rng_chunk = self._capture_rng.random(_CAP_CHUNK).tolist()
                 pos = 0
             diff_draw = chunk[pos]
             pos += 1
-            if ev is not None:
+            if in_event:
                 active = diff_draw < diff_p
-                interesting = active and ev.interesting
+                interesting = active and ev_interesting[eidx]
             else:
                 active = diff_draw < bg_diff_p
                 interesting = False
             if interesting:
                 metrics.captures_interesting += 1
+            if tracer is not None:
+                tracer.emit(TraceEvent(t, "capture", data={
+                    "occupancy": len(entries),
+                    "energy_j": self.storage._energy,
+                    "power_w": self._tq.power(t),
+                    "active": active,
+                    "interesting": interesting,
+                    "event": in_event,
+                }))
             if hook is not None:
-                hook(t, active)
+                hook(t, active)  # positional: ~55k calls/run, kwargs cost real time
             if active:
                 metrics.captures_active += 1
                 if cap is not None and len(entries) >= cap:
+                    # Overflow: the input is dropped before an entry is
+                    # built.
                     metrics.ibo_drops += 1
                     if interesting:
                         metrics.ibo_drops_interesting += 1
+                    if tracer is not None:
+                        tracer.emit(TraceEvent(t, "ibo", data={
+                            "interesting": interesting,
+                        }))
                 else:
-                    # try_insert minus the guards a freshly constructed
-                    # entry cannot trip (not-buffered, unique input_id);
-                    # BufferedInput.__init__ bypassed slot-for-slot, with
-                    # the same id drawn from the same shared counter.
+                    # InputBuffer.try_insert minus the guards a freshly
+                    # constructed entry cannot trip (not-buffered, unique
+                    # input_id); BufferedInput.__init__ bypassed
+                    # slot-for-slot, with the same id drawn from the same
+                    # shared counter.
                     entry = _OBJ_NEW(BufferedInput)
                     entry.capture_time = t
                     entry.interesting = interesting
@@ -459,9 +453,11 @@ class SimulationEngine:
                     metrics.stored += 1
             idx += 1
             t = idx * cap_period
+        # Batched: integer adds commute and nothing in the loop reads it.
         metrics.captures_total += fired
         self._rng_pos = pos
         self._capture_index = idx
+        self._ev_idx = eidx
 
     def _advance_to(
         self, target_s: float, draw_w: float, stop_energy_j: float | None = None
@@ -626,123 +622,10 @@ class SimulationEngine:
             now = boundary
             if next_cap <= now + TIME_EPSILON:
                 self.now = now
-                (
-                    cap_inline,
-                    ev_cur,
-                    ev_starts,
-                    ev_ends,
-                    ev_events,
-                    ev_n,
-                    diff_p,
-                    bg_diff_p,
-                    hook,
-                    buffer_obj,
-                    entries,
-                    by_job,
-                    stats_map,
-                    buf_cap,
-                    entry_job,
-                ) = self._cap_consts
-                if cap_inline:
-                    # _fire_due_captures' fast body inlined at its hottest
-                    # call site: a boundary crossing almost always fires
-                    # exactly one capture, so the function's per-call
-                    # prologue dominated.  Same draws from the same RNG
-                    # stream, same metric increments and insert state
-                    # transitions; captures never touch the storage or the
-                    # two energy metrics folded through locals here, so
-                    # those need no flush/reload around the firing.
-                    idx = self._capture_index
-                    t = idx * cap_period
-                    limit = now + TIME_EPSILON
-                    chunk = self._rng_chunk
-                    pos = self._rng_pos
-                    fired = 0
-                    while t <= limit:
-                        fired += 1
-                        # EventCursor.event_at inlined (see the identical
-                        # block in _fire_due_captures).
-                        if ev_n:
-                            eidx = ev_cur._idx
-                            if ev_starts[eidx] <= t:
-                                nxt = eidx + 1
-                                if nxt < ev_n and ev_starts[nxt] <= t:
-                                    eidx += 1
-                                    nxt += 1
-                                    if nxt < ev_n and ev_starts[nxt] <= t:
-                                        eidx = bisect_right(ev_starts, t) - 1
-                                    ev_cur._idx = eidx
-                                ev = (
-                                    ev_events[eidx]
-                                    if t < ev_ends[eidx]
-                                    else None
-                                )
-                            else:
-                                eidx = bisect_right(ev_starts, t) - 1
-                                ev_cur._idx = eidx if eidx >= 0 else 0
-                                ev = (
-                                    ev_events[eidx]
-                                    if eidx >= 0 and t < ev_ends[eidx]
-                                    else None
-                                )
-                        else:
-                            ev = None
-                        if pos == len(chunk):
-                            chunk = self._rng_chunk = (
-                                self._capture_rng.random(_CAP_CHUNK).tolist()
-                            )
-                            pos = 0
-                        diff_draw = chunk[pos]
-                        pos += 1
-                        if ev is not None:
-                            active = diff_draw < diff_p
-                            interesting = active and ev.interesting
-                        else:
-                            active = diff_draw < bg_diff_p
-                            interesting = False
-                        if interesting:
-                            metrics.captures_interesting += 1
-                        if hook is not None:
-                            hook(t, active)
-                        if active:
-                            metrics.captures_active += 1
-                            if buf_cap is not None and len(entries) >= buf_cap:
-                                metrics.ibo_drops += 1
-                                if interesting:
-                                    metrics.ibo_drops_interesting += 1
-                            else:
-                                # BufferedInput.__init__ bypassed (see the
-                                # identical block in _fire_due_captures).
-                                entry = _OBJ_NEW(BufferedInput)
-                                entry.capture_time = t
-                                entry.interesting = interesting
-                                entry._job_name = entry_job
-                                entry.enqueue_time = t
-                                entry.input_id = next(_input_ids)
-                                entry._buffer = buffer_obj
-                                entry._seq = buffer_obj._next_seq
-                                buffer_obj._next_seq += 1
-                                entries[entry.input_id] = entry
-                                pending = by_job.get(entry_job)
-                                if pending is None:
-                                    pending = by_job[entry_job] = {}
-                                pending[entry.input_id] = entry
-                                stats_map.pop(entry_job, None)
-                                metrics.stored += 1
-                        idx += 1
-                        t = idx * cap_period
-                    metrics.captures_total += fired
-                    self._rng_pos = pos
-                    self._capture_index = idx
-                    next_cap = t
-                else:
-                    metrics.energy_consumed_j = e_consumed
-                    metrics.energy_harvested_j = e_harvested
-                    self._fire_due_captures()
-                    e_consumed = metrics.energy_consumed_j
-                    e_harvested = metrics.energy_harvested_j
-                    energy = storage._energy
-                    next_cap = self._capture_index * cap_period
+                metrics.energy_consumed_j = e_consumed
+                metrics.energy_harvested_j = e_harvested
+                self._fire_due_captures()
+                next_cap = self._capture_index * cap_period
         self.now = now
         metrics.energy_consumed_j = e_consumed
         metrics.energy_harvested_j = e_harvested
@@ -883,27 +766,18 @@ class SimulationEngine:
         """JIT checkpoint: save, die, recharge, restore."""
         self.metrics.power_failures += 1
         tracer = self.tracer
-        if tracer is None:
-            self._pay_overhead(
-                self.checkpoint.save_time_s, self.checkpoint.save_energy_j
-            )
-            self._recharge_to_restart()
-            self._pay_overhead(
-                self.checkpoint.restore_time_s, self.checkpoint.restore_energy_j
-            )
-            return
-        # Traced variant: same call sequence, with the save/restore spans
-        # measured around the same overhead payments.
-        tracer.emit(TraceEvent(self.now, "power_fail"))
+        checkpoint = self.checkpoint
+        if tracer is not None:
+            tracer.emit(TraceEvent(self.now, "power_fail"))
         t0 = self.now
-        self._pay_overhead(self.checkpoint.save_time_s, self.checkpoint.save_energy_j)
-        tracer.emit(TraceEvent(t0, "checkpoint", dur=self.now - t0))
+        self._pay_overhead(checkpoint.save_time_s, checkpoint.save_energy_j)
+        if tracer is not None:
+            tracer.emit(TraceEvent(t0, "checkpoint", dur=self.now - t0))
         self._recharge_to_restart()
         t0 = self.now
-        self._pay_overhead(
-            self.checkpoint.restore_time_s, self.checkpoint.restore_energy_j
-        )
-        tracer.emit(TraceEvent(t0, "restore", dur=self.now - t0))
+        self._pay_overhead(checkpoint.restore_time_s, checkpoint.restore_energy_j)
+        if tracer is not None:
+            tracer.emit(TraceEvent(t0, "restore", dur=self.now - t0))
 
     def _pay_overhead(self, time_s: float, energy_j: float) -> None:
         """Charge a fixed time+energy overhead (checkpoint save/restore).
@@ -942,78 +816,6 @@ class SimulationEngine:
                 # Sleep-state brownout: no checkpoint needed, state is
                 # retained in NVM; simply wait for the restart threshold.
                 self._recharge_to_restart()
-
-    # ----------------------------------------------------------------- capture --
-
-    def _do_capture(self, t: float) -> None:
-        metrics = self.metrics
-        metrics.captures_total += 1
-        # One event lookup answers the 'different' and 'interesting' pins
-        # (active_at / interesting_at are both derived from event_at).
-        ev = self._sq.event_at(t)
-        # One draw per capture keeps the arrival stream identical across
-        # policies at a given seed, whether or not an event is in progress.
-        # Draws are prefetched in chunks from the same stream.
-        pos = self._rng_pos
-        chunk = self._rng_chunk
-        if pos == len(chunk):
-            chunk = self._rng_chunk = self._capture_rng.random(_CAP_CHUNK).tolist()
-            pos = 0
-        diff_draw = chunk[pos]
-        self._rng_pos = pos + 1
-        if ev is not None:
-            active = diff_draw < self._diff_p
-        else:
-            active = diff_draw < self._bg_diff_p
-        interesting = active and ev is not None and ev.interesting
-        if interesting:
-            metrics.captures_interesting += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(TraceEvent(t, "capture", data={
-                "occupancy": len(self.buffer._entries),
-                "energy_j": self.storage.energy_j,
-                "power_w": self._tq.power(t),
-                "active": active,
-                "interesting": interesting,
-                "event": ev is not None,
-            }))
-        hook = self._on_capture_hook
-        if hook is not None:
-            hook(t, active)  # positional: ~55k calls/run, kwargs cost real time
-        if not active:
-            return
-        metrics.captures_active += 1
-        buffer = self.buffer
-        cap = buffer._capacity
-        # buffer.is_full, property call elided (one check per active capture).
-        if cap is not None and len(buffer._entries) >= cap:
-            # Overflow: the input is dropped before an entry is even built
-            # (same observable outcome as a failed try_insert).
-            metrics.ibo_drops += 1
-            if interesting:
-                metrics.ibo_drops_interesting += 1
-            if tracer is not None:
-                tracer.emit(TraceEvent(t, "ibo", data={
-                    "interesting": interesting,
-                }))
-            return
-        entry = BufferedInput(
-            capture_time=t,
-            interesting=interesting,
-            job_name=self._entry_job,
-            enqueue_time=t,
-        )
-        if buffer.try_insert(entry):
-            metrics.stored += 1
-        else:  # pragma: no cover - is_full was checked just above
-            metrics.ibo_drops += 1
-            if interesting:
-                metrics.ibo_drops_interesting += 1
-            if tracer is not None:
-                tracer.emit(TraceEvent(t, "ibo", data={
-                    "interesting": interesting,
-                }))
 
     # ----------------------------------------------------------------- policy --
 

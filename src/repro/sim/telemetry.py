@@ -114,24 +114,32 @@ class DecisionPathStats:
 
 @dataclass(frozen=True)
 class BufferSample:
-    """Device state observed at one capture tick."""
+    """Device state observed at one capture tick.
+
+    ``input_power_w`` and ``event_active`` are ``None`` on samples from
+    the vector kernel, whose capture rows do not carry them.
+    """
 
     t: float
     occupancy: int
     stored_energy_j: float
-    input_power_w: float
-    event_active: bool
+    input_power_w: float | None
+    event_active: bool | None
 
 
 @dataclass(frozen=True)
 class DecisionSample:
-    """One scheduling decision."""
+    """One scheduling decision.
+
+    ``ibo_predicted`` and ``predicted_service_s`` are ``None`` on samples
+    from the vector kernel, whose decision rows do not carry them.
+    """
 
     t: float
     job_name: str
     option_name: str
     degraded: bool
-    ibo_predicted: bool
+    ibo_predicted: bool | None
     predicted_service_s: float | None
 
 
@@ -140,9 +148,10 @@ class TelemetryRecorder:
 
     Attach it as the engine's ``tracer``: ``capture`` events become
     :class:`BufferSample` rows and ``decision`` events
-    :class:`DecisionSample` rows; every other kind is ignored.  It reads
-    the scalar engine's capture payload (``power_w`` and ``event`` are not
-    in the vector kernel's).
+    :class:`DecisionSample` rows; every other kind is ignored.  The vector
+    kernel's rows carry no ``power_w`` or ``event`` (captures) and no
+    ``ibo_predicted`` or ``predicted_service_s`` (decisions); their
+    samples hold ``None`` there.
 
     Parameters
     ----------
@@ -177,15 +186,15 @@ class TelemetryRecorder:
                 return
             self.buffer_samples.append(
                 BufferSample(
-                    event.t, occupancy, data["energy_j"], data["power_w"],
-                    data["event"],
+                    event.t, occupancy, data["energy_j"], data.get("power_w"),
+                    data.get("event"),
                 )
             )
         elif event.kind == "decision":
             self.decisions.append(
                 DecisionSample(
                     event.t, data["job"], data["option"], data["degraded"],
-                    data["ibo_predicted"], data["predicted_service_s"],
+                    data.get("ibo_predicted"), data.get("predicted_service_s"),
                 )
             )
 

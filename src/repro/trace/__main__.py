@@ -25,17 +25,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.cli import add_fleet_spec_flags, fleet_spec_from_args
 from repro.trace.io import load_trace_csv, save_trace_csv
 from repro.trace.solar import SolarTraceConfig, SolarTraceGenerator
 from repro.trace.stats import summarize
-
-
-def _csv(text: str) -> tuple:
-    return tuple(item.strip() for item in text.split(",") if item.strip())
-
-
-def _int_csv(text: str) -> tuple:
-    return tuple(int(item) for item in _csv(text))
 
 
 def _add_store_parser(sub) -> None:
@@ -50,16 +43,7 @@ def _add_store_parser(sub) -> None:
     p_build.add_argument("directory", metavar="DIR")
     p_build.add_argument("--devices", type=int, required=True, metavar="N",
                          help="fleet size (mirrors python -m repro.fleet)")
-    p_build.add_argument("--seed", type=int, default=0, help="fleet seed")
-    p_build.add_argument("--name", type=str, default="fleet", help="fleet label")
-    p_build.add_argument("--events", type=int, default=50, metavar="N",
-                         help="events per device schedule (default 50)")
-    p_build.add_argument("--policies", type=_csv, default=None, metavar="CSV")
-    p_build.add_argument("--environments", type=_csv, default=None, metavar="CSV")
-    p_build.add_argument("--mcus", type=_csv, default=None, metavar="CSV")
-    p_build.add_argument("--cells", type=_int_csv, default=None, metavar="CSV")
-    p_build.add_argument("--buffer", type=int, default=10, metavar="N",
-                         help="input-buffer capacity (0 = unbounded)")
+    add_fleet_spec_flags(p_build)
     p_build.add_argument("--jobs", type=int, default=1, metavar="J",
                          help="parallel generator workers (0 = one per CPU)")
     p_build.add_argument("--quiet", action="store_true")
@@ -79,26 +63,7 @@ def _run_store(args: argparse.Namespace) -> int:
     from repro.trace.store import TraceStore
 
     if args.store_command == "build":
-        from repro.fleet.spec import FleetSpec
-
-        overrides = {
-            key: value
-            for key, value in (
-                ("policies", args.policies),
-                ("environments", args.environments),
-                ("mcus", args.mcus),
-                ("cells", args.cells),
-            )
-            if value is not None
-        }
-        spec = FleetSpec(
-            devices=args.devices,
-            seed=args.seed,
-            name=args.name,
-            n_events=args.events,
-            buffer_capacity=None if args.buffer == 0 else args.buffer,
-            **overrides,
-        )
+        spec = fleet_spec_from_args(args)
         store = TraceStore.create(args.directory)
         counts = store.build_for_spec(
             spec, jobs=args.jobs, progress=None if args.quiet else print

@@ -5,6 +5,8 @@ same run with and without a tracer attached produces bit-identical
 metrics/rollups; the tracer's timeline is consistent with those metrics.
 """
 
+import dataclasses
+import hashlib
 import io
 import json
 
@@ -18,7 +20,8 @@ from repro.fleet.service import run_shard
 from repro.obs import EVENT_KINDS, HeartbeatPublisher, RingBufferTracer
 from repro.obs.heartbeat import validate_heartbeat_records
 from repro.policies.noadapt import NoAdaptPolicy
-from repro.sim.engine import SimulationConfig, SimulationEngine, simulate
+from repro.serve.cache import canonical_rollup_json
+from repro.sim.engine import SimulationConfig, simulate
 from repro.sim.telemetry import TelemetryRecorder
 from repro.trace.solar import SolarTraceGenerator
 from repro.trace.synthetic import constant_trace
@@ -121,45 +124,70 @@ class TestScalarEngineTracing:
         assert degradations[0].data["option"] in ("lenet", "single-byte")
 
 
-class TestUntracedCaptureFastPath:
-    """Only an observed run takes the readable capture body.
+def stream_digest(rows) -> str:
+    """sha256 of canonical JSON over ``rows``, in order."""
+    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
-    Untraced runs fire every capture through the inlined loops in
-    ``_advance_to`` / ``_fire_due_captures``; attaching any sink routes
-    each capture through ``_do_capture`` exactly once.  Counting calls
-    pins the untraced path's cost where a same-process timing ratio
-    cannot: both legs of such a ratio slow down together.
+
+class TestCaptureStream:
+    """Every capture, observed or not, fires through one body.
+
+    The capture totals are pinned with no sink, with a ring and with the
+    telemetry recorder.  The digests pin what the counts cannot: every
+    ring row ``(t, kind, dur, data)`` and the rows' order, and the
+    recorder's buffer and decision samples.  They were recorded while the
+    engine still fired traced captures through a separate body.
     """
 
     CAPTURES = {"NA": 1847, "QZ": 1457}
+    RING_DIGESTS = {
+        "NA": "bd28b900973d30129c646ffacc65aaf05815d454e5cfec2ecccd452ae2c74e4c",
+        "QZ": "6c0933d237c50e54f596d4b8090f2574126a24733dd19f74d1ef07699c5738b4",
+    }
+    TELEMETRY_DIGESTS = {
+        "NA": "ab77baa84f8ded18dd4628596c92d082780655bad8e77052855ca7e654b4ef24",
+        "QZ": "5ad214c9211718a3cff89a76ec1ae312ce2992f36833d09352a4197741a97b04",
+    }
 
     @pytest.fixture(scope="class")
     def solar_trace(self):
         return SolarTraceGenerator(seed=1).generate()
 
-    @pytest.fixture
-    def capture_calls(self, monkeypatch):
-        calls = []
-        do_capture = SimulationEngine._do_capture
-
-        def counting(engine, t):
-            calls.append(t)
-            do_capture(engine, t)
-
-        monkeypatch.setattr(SimulationEngine, "_do_capture", counting)
-        return calls
+    @staticmethod
+    def run(solar_trace, policy, tracer=None):
+        factory = {"NA": NoAdaptPolicy, "QZ": QuetzalRuntime}[policy]
+        return simulate(
+            build_apollo_app(), factory(), solar_trace,
+            CROWDED.schedule(30, seed=2), config=SimulationConfig(seed=3),
+            tracer=tracer,
+        )
 
     @pytest.mark.parametrize("sink", [None, RingBufferTracer, TelemetryRecorder])
     @pytest.mark.parametrize("policy", ["NA", "QZ"])
-    def test_do_capture_calls(self, capture_calls, solar_trace, policy, sink):
-        factory = {"NA": NoAdaptPolicy, "QZ": QuetzalRuntime}[policy]
-        metrics = simulate(
-            build_apollo_app(), factory(), solar_trace,
-            CROWDED.schedule(30, seed=2), config=SimulationConfig(seed=3),
-            tracer=None if sink is None else sink(),
-        )
+    def test_captures_total(self, solar_trace, policy, sink):
+        metrics = self.run(solar_trace, policy, None if sink is None else sink())
         assert metrics.captures_total == self.CAPTURES[policy]
-        assert len(capture_calls) == (0 if sink is None else metrics.captures_total)
+
+    @pytest.mark.parametrize("policy", ["NA", "QZ"])
+    def test_ring_stream_digest(self, solar_trace, policy):
+        ring = RingBufferTracer(capacity=1 << 16)
+        metrics = self.run(solar_trace, policy, ring)
+        assert ring.dropped == 0
+        assert ring.counts_by_kind()["capture"] == metrics.captures_total
+        rows = [[e.t, e.kind, e.dur, e.data] for e in ring.events()]
+        assert stream_digest(rows) == self.RING_DIGESTS[policy]
+
+    @pytest.mark.parametrize("policy", ["NA", "QZ"])
+    def test_telemetry_digest(self, solar_trace, policy):
+        recorder = TelemetryRecorder()
+        metrics = self.run(solar_trace, policy, recorder)
+        assert len(recorder.buffer_samples) == metrics.captures_total
+        rows = [
+            [dataclasses.astuple(s) for s in recorder.buffer_samples],
+            [dataclasses.astuple(d) for d in recorder.decisions],
+        ]
+        assert stream_digest(rows) == self.TELEMETRY_DIGESTS[policy]
 
 
 def baseline_spec(**kw):
@@ -232,6 +260,21 @@ class TestFleetTracing:
         assert len(ring) <= 8
         assert ring.emitted > 8
         assert ring.dropped == ring.emitted - len(ring)
+
+    def test_vector_fleet_feeds_telemetry_recorder(self):
+        spec = baseline_spec(devices=8, policies=("NA", "AD"))
+        plain = run_fleet(spec, kernel="vector").rollup
+        recorder = TelemetryRecorder()
+        observed = run_fleet(spec, kernel="vector", trace=recorder).rollup
+        assert canonical_rollup_json(observed.to_dict()) == canonical_rollup_json(
+            plain.to_dict()
+        )
+        ring = RingBufferTracer()
+        run_fleet(spec, kernel="vector", trace=ring)
+        captures = ring.counts_by_kind()["capture"]
+        assert captures > 0
+        assert len(recorder.buffer_samples) == captures
+        assert {s.input_power_w for s in recorder.buffer_samples} == {None}
 
     def test_heartbeat_stream_from_run_fleet(self):
         spec = baseline_spec()

@@ -1,7 +1,7 @@
 """The engine's hot paths against the reference's recorded results.
 
-The scalar engine runs one implementation: monotone :class:`TraceCursor` /
-:class:`EventCursor` queries, the fused span-integration loop in
+The scalar engine runs one implementation: monotone :class:`TraceCursor`
+and event-index queries, the fused span-integration loop in
 ``_advance_to``, the cached-fold recharge loop and the Quetzal runtime's
 cached decision path.  Its contract is *exact* floating-point equality
 with the stateless reference implementations those paths replaced: every

@@ -16,6 +16,8 @@ from repro.cli import CORE_FLAGS, add_core_flags, jobs_from_args
 import repro.experiments.__main__ as experiments_main
 import repro.fleet.__main__ as fleet_main
 import repro.serve.__main__ as serve_main
+import repro.trace.__main__ as trace_main
+from repro.trace.store import TraceStore
 
 PARSERS = {
     "experiments": experiments_main.build_parser,
@@ -91,3 +93,32 @@ class TestPerCliWiring:
         assert fleet_main.main([
             "--devices", "4", "--events", "10", "--kernel", "vector", "--quiet",
         ]) == 0
+
+
+class TestFleetSpecFlags:
+    """``python -m repro.fleet`` and ``python -m repro.trace store build``
+    read the fleet-shaping flags through one helper."""
+
+    ARGV = [
+        "--devices", "12", "--seed", "7", "--name", "probe", "--events", "9",
+        "--policies", "QZ,NA", "--environments", "crowded,less crowded",
+        "--mcus", "apollo4,msp430", "--cells", "4,8", "--buffer", "0",
+    ]
+
+    def test_both_clis_build_the_same_spec(self, tmp_path, monkeypatch):
+        parser = fleet_main.build_parser()
+        fleet_spec = fleet_main._spec_from_args(parser.parse_args(self.ARGV), parser)
+        assert fleet_spec.cells == (4, 8)
+        assert fleet_spec.buffer_capacity is None
+
+        built = []
+
+        def capture(store, spec, **kwargs):
+            built.append(spec)
+            return {"traces": 0, "schedules": 0, "reused": 0}
+
+        monkeypatch.setattr(TraceStore, "build_for_spec", capture)
+        argv = ["store", "build", str(tmp_path / "store"), *self.ARGV, "--quiet"]
+        assert trace_main.main(argv) == 0
+        assert built == [fleet_spec]
+        assert built[0].to_json() == fleet_spec.to_json()
