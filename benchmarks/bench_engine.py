@@ -123,7 +123,8 @@ def fleet_ratios(devices: int) -> dict:
     def vector():
         restore()
         start = perf()
-        for lane, metrics in kernel._run_lane_groups(lanes, factories):
+        for lane, metrics in kernel._run_lane_groups(
+                lanes, factories, kernel.KernelStats()):
             if metrics is None:
                 rerun_scalar(lane)
         return (perf() - start) / devices

@@ -21,8 +21,10 @@ byte:
    fds, below the store's 48 entries, and must still match;
 5. the fully observed run (``--trace-out``, ``--metrics-out``,
    ``--telemetry-out``, ``--kernel-stats``), minus its ``kernel_stats``
-   key; its Chrome trace, JSONL events and heartbeats must schema-validate
-   and its Prometheus text must parse;
+   key; its Chrome trace, JSONL events and heartbeats must schema-validate,
+   its Prometheus text must parse, and the ``end`` heartbeat's
+   ``phase_seconds`` must equal the ``--json`` ``kernel_stats`` phases
+   exactly;
 6. the fleet service: a cache miss, then a cache hit; a mutated spec must
    miss; the hit and a ``result`` response, read as raw lines, must each
    equal ``protocol.encode`` of their decoding and carry the reference
@@ -233,14 +235,21 @@ def smoke(out: str) -> None:
     problems = validate_jsonl_events(rows)
     if problems:
         fail(f"trace.jsonl invalid: {problems[:3]}")
-    check_heartbeats(jsonl(path("telemetry.jsonl")), "telemetry.jsonl")
+    beats = jsonl(path("telemetry.jsonl"))
+    check_heartbeats(beats, "telemetry.jsonl")
     problem = check_prometheus(read(path("metrics.prom")))
     if problem:
         fail(f"metrics.prom invalid: {problem}")
     json.loads(read(path("metrics.json")))
     observed = json.loads(read(path("observed.json")))
-    observed.pop("kernel_stats")  # wall clock, opt-in, not a result
+    stats = observed.pop("kernel_stats")  # wall clock, opt-in, not a result
     same(canonical_rollup_json(observed), "observed")
+    # One telemetry record: the end heartbeat's phases are the result's.
+    phases = {key: stats[key] for key in
+              ("setup_s", "ctrl_s", "adv_s", "rech_s", "fallback_s")}
+    if beats[-1]["phase_seconds"] != phases:
+        fail(f"end heartbeat phase_seconds {beats[-1]['phase_seconds']} "
+             f"differ from --json kernel_stats {phases}")
 
     # 6. Served (miss), cached (hit), mutated (miss).
     spec = FleetSpec.from_json(read(spec_path))
@@ -336,7 +345,8 @@ def main() -> int:
           "(serial and forked builds byte-identical), "
           "observed, served and cached rollups are byte-identical to the "
           "scalar reference; metrics are run-configuration-invariant; "
-          "every artifact validates; 1 cache hit in 3 submissions; "
+          "every artifact validates; the end heartbeat's phases equal "
+          "--kernel-stats; 1 cache hit in 3 submissions; "
           "figure JSON is byte-identical at --jobs 1 and --jobs 2; "
           "migrated vector lanes match the scalar engine")
     return 0

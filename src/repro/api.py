@@ -22,9 +22,9 @@ Everything exported here — and exactly this list, pinned by
   ``standard_policies`` / ``ExperimentRunner`` for policy × seed sweeps,
   with ``clear_run_memo`` to reset the per-process run memo;
 * **fleets** — ``run_fleet`` over a ``FleetSpec`` for batch populations
-  of devices, with ``FleetRecorder`` shard telemetry and an opt-in
-  ``kernel="vector"`` lockstep numpy kernel (bit-identical rollups,
-  scalar fallback for uncovered devices);
+  of devices, with an opt-in ``kernel="vector"`` lockstep numpy kernel
+  (bit-identical rollups, scalar fallback for uncovered devices) whose
+  per-phase timing is ``FleetResult.kernel_stats``;
 * **observability** — ``RingBufferTracer`` / ``TraceEvent`` device
   timelines (``simulate(tracer=...)``, ``run_fleet(trace=...)``),
   the ``MetricsRegistry`` with ``fleet_registry`` Prometheus/JSON
@@ -76,7 +76,7 @@ from repro.policies.power_threshold import PowerThresholdPolicy
 from repro.serve import FleetClient, ResultCache, ServeConfig, submit
 from repro.sim.engine import SimulationConfig, SimulationEngine, simulate
 from repro.sim.metrics import MetricsRollup, RunMetrics
-from repro.sim.telemetry import FleetRecorder, TelemetryRecorder
+from repro.sim.telemetry import TelemetryRecorder
 from repro.trace.solar import SolarTraceConfig, SolarTraceGenerator
 from repro.trace.store import TraceStore
 from repro.workload.pipelines import build_apollo_app, build_msp430_app
@@ -122,7 +122,6 @@ __all__ = [
     "FleetResult",
     "FleetRollup",
     "MetricsRollup",
-    "FleetRecorder",
     # observability
     "TraceEvent",
     "RingBufferTracer",

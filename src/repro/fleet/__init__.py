@@ -9,14 +9,13 @@ sharded across worker processes, with stream-aggregated rollups
 checkpoint/resume journals that make a killed run resumable
 bit-identically.
 
-Three entry points:
+Two entry points:
 
 * Python API — :func:`run_fleet` over a :class:`FleetSpec`, returning a
-  :class:`FleetResult` (re-exported from :mod:`repro.api`);
+  :class:`FleetResult` (re-exported from :mod:`repro.api`), which also
+  carries the vector kernel's per-phase timing (``kernel_stats``);
 * CLI — ``python -m repro.fleet --devices N --shards K --jobs 0
-  [--checkpoint DIR] [--resume]``;
-* telemetry — attach a :class:`repro.sim.telemetry.FleetRecorder` to
-  observe per-shard rollups as they complete.
+  [--checkpoint DIR] [--resume]``.
 """
 
 from repro.fleet.checkpoint import FleetCheckpoint

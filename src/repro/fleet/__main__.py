@@ -115,11 +115,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         spec = _spec_from_args(args, parser)
         progress = None if args.quiet else print
-        recorder = None
-        if args.kernel_stats:
-            from repro.sim.telemetry import FleetRecorder
-
-            recorder = FleetRecorder()
         tracer = None
         if args.trace_out is not None:
             from repro.obs import RingBufferTracer
@@ -149,7 +144,6 @@ def main(argv: list[str] | None = None) -> int:
                     resume=args.resume,
                     kernel=args.kernel,
                     stop_after=args.stop_after,
-                    recorder=recorder,
                     progress=progress,
                     trace=tracer,
                     heartbeat=heartbeat,
@@ -163,8 +157,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     print(result.render())
-    kernel_stats = None if recorder is None else recorder.kernel_stats_total()
-    if recorder is not None:
+    # Kernel timing is wall-clock (never reproducible), so it reaches the
+    # output only under --kernel-stats.
+    kernel_stats = result.kernel_stats if args.kernel_stats else None
+    if args.kernel_stats:
         if kernel_stats is None:
             print("[kernel-stats: no vector-kernel shards ran "
                   "(scalar kernel, or all shards resumed)]")
@@ -193,14 +189,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.metrics_out is not None:
         from repro.obs import fleet_registry
 
-        # Kernel timing series are wall-clock (never reproducible), so
-        # they ride along only when explicitly asked for via
-        # --kernel-stats; the default registry output is bit-identical
+        # Without --kernel-stats the registry output is bit-identical
         # across shards/jobs/kernel choices.
-        registry = fleet_registry(
-            result.rollup,
-            kernel_stats=kernel_stats if args.kernel_stats else None,
-        )
+        registry = fleet_registry(result.rollup, kernel_stats=kernel_stats)
         with open(f"{args.metrics_out}.prom", "w") as handle:
             handle.write(registry.to_prometheus())
         with open(f"{args.metrics_out}.json", "w") as handle:

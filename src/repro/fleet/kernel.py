@@ -180,10 +180,10 @@ class KernelStats:
         out["kernel_s"] = self.kernel_s
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "KernelStats":
-        names = {f.name for f in dataclass_fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in names})
+    def phase_seconds(self) -> dict:
+        """The five top-level phases: a heartbeat's ``phase_seconds``."""
+        return {name: getattr(self, name) for name in
+                ("setup_s", "ctrl_s", "adv_s", "rech_s", "fallback_s")}
 
     def render(self) -> str:
         """Human-readable per-phase breakdown (the ``--kernel-stats`` view)."""
@@ -1905,12 +1905,11 @@ def _lane_groups(vector_lanes) -> list[list[_Lane]]:
     return list(groups.values())
 
 
-def _run_lane_groups(vector_lanes, factories, stats: KernelStats | None = None,
-                     tracer=None):
+def _run_lane_groups(vector_lanes, factories, stats: KernelStats, tracer=None):
     """Run vector lanes through batches; returns [(lane, metrics-or-None)].
 
     ``factories`` maps policy names to the factories migrated lanes'
-    engines are built with.
+    engines are built with; ``stats`` accumulates each batch's timing.
     """
     out = []
     perf = time.perf_counter
@@ -1927,16 +1926,15 @@ def _run_lane_groups(vector_lanes, factories, stats: KernelStats | None = None,
         finally:
             if gc_was_enabled:
                 gc.enable()
-        if stats is not None:
-            stats.batches += 1
-            stats.batch_init_s += t1 - t0
-            stats.iterations += batch.iterations
-            stats.compactions += batch.compactions
-            stats.ctrl_s += batch.ctrl_s
-            stats.adv_s += batch.adv_s
-            stats.rech_s += batch.rech_s
-            stats.migrated_lanes += len(batch._resume)
-            stats.fallback_s += batch.migrate_s
+        stats.batches += 1
+        stats.batch_init_s += t1 - t0
+        stats.iterations += batch.iterations
+        stats.compactions += batch.compactions
+        stats.ctrl_s += batch.ctrl_s
+        stats.adv_s += batch.adv_s
+        stats.rech_s += batch.rech_s
+        stats.migrated_lanes += len(batch._resume)
+        stats.fallback_s += batch.migrate_s
         out.extend(zip(group, results))
     return out
 
@@ -1951,7 +1949,8 @@ def vector_shard_outcomes(
     to what the scalar per-device loop produces.  Devices outside the
     vector envelope (and any lane the kernel flags as anomalous) fall back
     to the scalar engine via ``_attempt_spec``.  Pass a :class:`KernelStats`
-    to accumulate the per-phase timing breakdown, and a
+    to accumulate the per-phase timing breakdown (one is made and dropped
+    otherwise), and a
     :class:`repro.obs.TraceSink` to record device-stamped timeline events
     (fallback lanes emit through the scalar engine, wrapped in a
     stamping sink, so the stream stays device-attributed either way).
@@ -1964,6 +1963,8 @@ def vector_shard_outcomes(
         from repro.experiments.harness import standard_policies
 
         factories = standard_policies()
+    if stats is None:
+        stats = KernelStats()
     kinds = _vector_kernel_policies(factories)
     outcomes = {}
     devices = list(device_range)
@@ -1974,11 +1975,10 @@ def vector_shard_outcomes(
         vector_lanes, scalar_lanes, attach_s = _build_lanes(
             spec, chunk, kinds, store
         )
-        if stats is not None:
-            stats.lane_build_s += perf() - t0
-            stats.attach_s += attach_s
-            stats.lanes += len(vector_lanes)
-            stats.scalar_lanes += len(scalar_lanes)
+        stats.lane_build_s += perf() - t0
+        stats.attach_s += attach_s
+        stats.lanes += len(vector_lanes)
+        stats.scalar_lanes += len(scalar_lanes)
         if names is not None:
             for lane in vector_lanes + scalar_lanes:
                 names[lane.device] = lane.policy_name
@@ -1986,8 +1986,7 @@ def vector_shard_outcomes(
         for lane, metrics in _run_lane_groups(vector_lanes, factories, stats, tracer):
             if metrics is None:
                 rerun.append(lane)
-                if stats is not None:
-                    stats.fallback_lanes += 1
+                stats.fallback_lanes += 1
             else:
                 outcomes[lane.device] = metrics
         t2 = perf()
@@ -2003,6 +2002,5 @@ def vector_shard_outcomes(
                     else stamping_sink(tracer, lane.device)
                 ),
             )
-        if stats is not None:
-            stats.fallback_s += perf() - t2
+        stats.fallback_s += perf() - t2
     return outcomes

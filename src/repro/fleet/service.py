@@ -18,6 +18,7 @@ killed run resumed from its checkpoint equals an uninterrupted one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.experiments.harness import standard_policies
@@ -27,6 +28,9 @@ from repro.fleet.rollup import FleetRollup
 from repro.fleet.spec import FleetSpec, shard_ranges
 from repro.obs.events import TraceEvent
 from repro.obs.tracer import RingBufferTracer, stamping_sink
+
+if TYPE_CHECKING:
+    from repro.fleet.kernel import KernelStats
 
 __all__ = ["FleetResult", "resolve_kernel", "run_fleet", "run_shard"]
 
@@ -47,6 +51,12 @@ class FleetResult:
     complete:
         False when ``stop_after`` cut the run short (the checkpoint holds
         the completed shards; resume to finish).
+    kernel_stats:
+        The vector kernel's per-phase timing
+        (:class:`~repro.fleet.kernel.KernelStats`), merged over the shards
+        this call computed, as each completes; None when none ran on the
+        vector kernel (scalar kernel, or every shard resumed).  Wall-clock
+        telemetry: never part of the rollup or the journal.
     """
 
     spec: FleetSpec
@@ -56,6 +66,7 @@ class FleetResult:
     resumed_shards: int = 0
     complete: bool = True
     pending_shards: list = field(default_factory=list)
+    kernel_stats: KernelStats | None = None
 
     def summary(self) -> dict:
         return self.rollup.summary()
@@ -263,9 +274,8 @@ def run_fleet(
         devices wide, scalar otherwise (see :func:`resolve_kernel`),
         logging the choice and its reason via ``progress``.
     recorder:
-        Optional :class:`repro.sim.telemetry.FleetRecorder`; receives one
-        ``on_shard`` call per shard (in shard order) and ``on_fleet_end``
-        with the total rollup.
+        Optional :class:`repro.sim.telemetry.FleetRecorder`, handed the
+        returned :class:`FleetResult`.
     stop_after:
         Simulate a kill: journal only this many not-yet-done shards, then
         return an incomplete result (requires ``checkpoint``).  This is
@@ -275,16 +285,17 @@ def run_fleet(
     trace:
         Optional :class:`repro.obs.TraceSink` receiving the fleet's
         device-stamped timeline events.  Workers record into a local
-        bounded ring, ship the retained window back in the shard payload,
-        and the parent folds windows in **shard order**, so the merged
-        stream is deterministic for any ``jobs`` setting.  Resumed shards
-        contribute no events (the checkpoint journal stays trace-free and
-        kernel-invariant).
+        bounded ring, ship the retained window back with the shard's
+        rollup, and the parent folds windows in **shard order**, so the
+        merged stream is deterministic for any ``jobs`` setting.  Resumed
+        shards contribute no events (the checkpoint journal stays
+        trace-free and kernel-invariant).
     heartbeat:
         Optional :class:`repro.obs.HeartbeatPublisher`; receives
         ``start``, one throttled ``on_shard`` per completed shard (in
         completion order — this is wall-clock telemetry, not part of the
-        deterministic result), and ``finish``.
+        deterministic result), and ``finish``, whose ``phase_seconds``
+        are those of the result's ``kernel_stats``.
     trace_store:
         Optional :class:`~repro.trace.store.TraceStore` (or a store
         directory path) of prebuilt traces/schedules; see
@@ -326,25 +337,26 @@ def run_fleet(
         heartbeat.start(
             fleet=spec.name, devices=spec.devices, shards=shards, kernel=kernel
         )
-    resumed_devices = sum(rollup.devices for rollup in done.values())
+    # The one telemetry record: every computed shard's stats merge into it
+    # as the shard completes; the heartbeat and the result read it.
+    kernel_stats = None
+    if kernel == "vector" and pending:
+        from repro.fleet.kernel import KernelStats
+
+        kernel_stats = KernelStats()
     beat = {
         "shards_done": len(done),
-        "devices_done": resumed_devices,
-        "phase_seconds": None,
+        "devices_done": sum(rollup.devices for rollup in done.values()),
     }
     trace_capacity = getattr(trace, "capacity", None)
 
-    def worker(position: int) -> dict:
-        # The payload carries the rollup (the result) plus pure telemetry:
-        # the vector kernel's per-phase timing and the shard's retained
-        # trace window.  Only the rollup ever reaches the checkpoint
-        # journal — resumed shards have no stats or trace, and the journal
-        # format is kernel- and observability-invariant.
-        stats = None
-        if kernel == "vector":
-            from repro.fleet.kernel import KernelStats
-
-            stats = KernelStats()
+    def worker(position: int) -> tuple:
+        # The rollup (the result) travels with pure telemetry: the vector
+        # kernel's per-phase timing and the shard's retained trace window.
+        # Only the rollup ever reaches the checkpoint journal — resumed
+        # shards have no stats or trace, and the journal format is
+        # kernel- and observability-invariant.
+        stats = None if kernel_stats is None else KernelStats()
         local = None
         if trace is not None:
             local = (
@@ -355,74 +367,53 @@ def run_fleet(
             spec, shards, pending[position], retries, kernel=kernel,
             stats=stats, tracer=local, trace_store=trace_store,
         )
-        payload = {
-            "rollup": rollup.to_dict(),
-            "kernel_stats": None if stats is None else stats.as_dict(),
-        }
+        window = None
         if local is not None:
-            payload["trace"] = [event.as_dict() for event in local.events()]
-            payload["trace_dropped"] = local.dropped
-        return payload
+            window = ([event.as_dict() for event in local.events()], local.dropped)
+        return rollup, stats, window
 
-    def journal_result(position: int, payload: dict) -> None:
+    def journal_result(position: int, payload: tuple) -> None:
         shard = pending[position]
+        rollup, stats, _ = payload
         if journal is not None:
-            journal.write_shard(shard, FleetRollup.from_dict(payload["rollup"]))
+            journal.write_shard(shard, rollup)
         if progress is not None:
-            progress(
-                f"[fleet] shard {shard} done "
-                f"({payload['rollup']['devices']} devices)"
-            )
+            progress(f"[fleet] shard {shard} done ({rollup.devices} devices)")
+        if kernel_stats is not None:
+            kernel_stats.merge(stats)
         if heartbeat is not None:
             beat["shards_done"] += 1
-            beat["devices_done"] += payload["rollup"]["devices"]
-            stats_dict = payload["kernel_stats"]
-            if stats_dict is not None:
-                phases = beat["phase_seconds"] or {}
-                for key in ("setup_s", "ctrl_s", "adv_s", "rech_s", "fallback_s"):
-                    phases[key] = phases.get(key, 0.0) + stats_dict[key]
-                beat["phase_seconds"] = phases
+            beat["devices_done"] += rollup.devices
             heartbeat.on_shard(
                 shards_done=beat["shards_done"],
                 shards_total=shards,
                 devices_done=beat["devices_done"],
                 devices_total=spec.devices,
                 kernel=kernel,
-                phase_seconds=beat["phase_seconds"],
+                phase_seconds=(
+                    None if kernel_stats is None else kernel_stats.phase_seconds()
+                ),
             )
 
     payloads = map_indexed(worker, len(pending), jobs, on_result=journal_result)
     computed = {}
-    for shard, payload in zip(pending, payloads):
-        stats_dict = payload["kernel_stats"]
-        if stats_dict is not None:
-            from repro.fleet.kernel import KernelStats
-
-            stats_dict = KernelStats.from_dict(stats_dict)
-        computed[shard] = (FleetRollup.from_dict(payload["rollup"]), stats_dict)
-        if trace is not None and "trace" in payload:
+    for shard, (rollup, _, window) in zip(pending, payloads):
+        computed[shard] = rollup
+        if window is not None:
             # Fold each shard's window in shard order: the merged stream
             # is deterministic for any jobs setting.
+            rows, dropped = window
             absorb = getattr(trace, "absorb_rows", None)
             if absorb is not None:
-                absorb(payload["trace"], payload.get("trace_dropped", 0))
+                absorb(rows, dropped)
             else:
-                for row in payload["trace"]:
+                for row in rows:
                     trace.emit(TraceEvent.from_dict(row))
 
     total = FleetRollup()
-    for shard in range(shards):
-        if shard in done:
-            rollup, stats = done[shard], None
-        elif shard in computed:
-            rollup, stats = computed[shard]
-        else:
-            continue
-        if recorder is not None:
-            recorder.on_shard(
-                shard, rollup, resumed=shard in done, kernel_stats=stats
-            )
-        total.merge(rollup)
+    parts = {**done, **computed}
+    for shard in sorted(parts):
+        total.merge(parts[shard])
 
     result = FleetResult(
         spec=spec,
@@ -432,16 +423,19 @@ def run_fleet(
         resumed_shards=len(done),
         complete=not cut,
         pending_shards=cut,
+        kernel_stats=kernel_stats,
     )
     if recorder is not None:
-        recorder.on_fleet_end(total)
+        recorder.result = result
     if heartbeat is not None:
         heartbeat.finish(
             devices=total.devices,
             failures=total.failure_count,
             complete=not cut,
             kernel=kernel,
-            phase_seconds=beat["phase_seconds"],
+            phase_seconds=(
+                None if kernel_stats is None else kernel_stats.phase_seconds()
+            ),
         )
     if progress is not None:
         progress(

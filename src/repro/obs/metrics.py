@@ -374,8 +374,17 @@ def fleet_registry(rollup, kernel_stats=None) -> MetricsRegistry:
                 _rebin_256_to_buckets(dist.bins), dist.total, dist.count,
                 policy=policy,
             )
-    stats = rollup.overall.decision_path_totals()
-    registry.merge(decision_path_registry(stats))
+    # Only the decision-path counters a rollup carries: ``decisions`` and
+    # ``score_table_rebuilds`` are policy-side, never in ``RunMetrics``.
+    totals = rollup.overall.decision_path_totals()
+    for name in (
+        "scored_candidates", "cache_hits", "cache_misses",
+        "degradation_walks", "degradation_walk_steps",
+    ):
+        registry.counter(
+            f"repro_decision_path_{name}_total",
+            f"Decision-path work counter: {name}",
+        ).inc(getattr(totals, name))
     if kernel_stats is not None:
         registry.merge(kernel_stats_registry(kernel_stats))
     return registry

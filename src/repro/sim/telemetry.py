@@ -22,7 +22,6 @@ __all__ = [
     "DecisionSample",
     "DecisionPathStats",
     "TelemetryRecorder",
-    "ShardSample",
     "FleetRecorder",
 ]
 
@@ -151,7 +150,10 @@ class TelemetryRecorder:
     :class:`DecisionSample` rows; every other kind is ignored.  The vector
     kernel's rows carry no ``power_w`` or ``event`` (captures) and no
     ``ibo_predicted`` or ``predicted_service_s`` (decisions); their
-    samples hold ``None`` there.
+    samples hold ``None`` there.  The kernel also emits only active
+    capture ticks, so its ``buffer_samples`` hold those alone, while
+    :meth:`peak_occupancy` and :meth:`mean_occupancy` count active ticks
+    on either kernel.
 
     Parameters
     ----------
@@ -167,8 +169,9 @@ class TelemetryRecorder:
         self.buffer_samples: list[BufferSample] = []
         self.decisions: list[DecisionSample] = []
         self._capture_count = 0
-        # Occupancy aggregates run over *every* capture tick: sampling
-        # thins the stored series only, never the statistics.
+        # Occupancy aggregates run over *every* active capture tick:
+        # sampling thins the stored series only, never the statistics.
+        self._occ_count = 0
         self._occ_peak = 0
         self._occ_sum = 0
 
@@ -179,9 +182,11 @@ class TelemetryRecorder:
         if event.kind == "capture":
             occupancy = data["occupancy"]
             self._capture_count += 1
-            if occupancy > self._occ_peak:
-                self._occ_peak = occupancy
-            self._occ_sum += occupancy
+            if data.get("active", True):
+                self._occ_count += 1
+                if occupancy > self._occ_peak:
+                    self._occ_peak = occupancy
+                self._occ_sum += occupancy
             if (self._capture_count - 1) % self.sample_every:
                 return
             self.buffer_samples.append(
@@ -201,21 +206,24 @@ class TelemetryRecorder:
     # -- analysis helpers ----------------------------------------------------------
 
     def peak_occupancy(self) -> int:
-        """Highest buffer occupancy observed at any capture tick.
+        """Highest buffer occupancy an arriving input found.
 
-        Computed from every ``capture`` event, not the (possibly
+        Counts only *active* capture ticks (those that produced an
+        input): the occupancy that decides whether an input is blocked.
+        Computed from every such ``capture`` event, not the (possibly
         thinned) stored series — ``sample_every`` never changes it.
         """
         return self._occ_peak
 
     def mean_occupancy(self) -> float:
-        """Mean occupancy across all capture ticks (0 if none).
+        """Mean occupancy over active capture ticks (0 if none).
 
-        Like :meth:`peak_occupancy`, exact under any ``sample_every``.
+        Like :meth:`peak_occupancy`, kernel-independent and exact under
+        any ``sample_every``.
         """
-        if not self._capture_count:
+        if not self._occ_count:
             return 0.0
-        return self._occ_sum / self._capture_count
+        return self._occ_sum / self._occ_count
 
     def degraded_fraction(self) -> float:
         """Fraction of decisions that ran a degraded option."""
@@ -265,98 +273,18 @@ class TelemetryRecorder:
         return times, rates
 
 
-@dataclass(frozen=True)
-class ShardSample:
-    """One completed fleet shard, as observed by a :class:`FleetRecorder`.
-
-    Attributes
-    ----------
-    shard:
-        Shard index within the fleet partition.
-    devices:
-        Devices simulated by the shard.
-    failures:
-        Device runs that exhausted their retries in the shard.
-    resumed:
-        True when the shard was restored from a checkpoint journal rather
-        than recomputed.
-    kernel_stats:
-        Per-phase vector-kernel timing for the shard (a
-        :class:`repro.fleet.kernel.KernelStats`), or None when the shard
-        ran on the scalar kernel / was resumed from a journal.  Pure
-        telemetry: it never feeds the rollup, so results stay
-        kernel-invariant.
-    """
-
-    shard: int
-    devices: int
-    failures: int
-    resumed: bool
-    kernel_stats: object | None = None
-
-
 class FleetRecorder:
-    """Fleet-level counterpart of :class:`TelemetryRecorder`.
+    """A view of the last :class:`~repro.fleet.FleetResult` it was given.
 
-    :func:`repro.fleet.run_fleet` calls it once per completed shard (in
-    shard order, whether recomputed or restored from the checkpoint
-    journal) and once at the end with the final fleet rollup.  Only
-    constant-size :class:`ShardSample` rows are retained per shard — the
-    recorder never holds per-device metrics, so it is safe to leave
-    attached to arbitrarily large fleets.
+    ``run_fleet(recorder=...)`` sets :attr:`result`, and
+    :meth:`kernel_stats_total` reads that result's ``kernel_stats``.  It
+    is kept only because ``perfbench/spans.py`` reads the kernel timing
+    this way; everything else reads ``FleetResult.kernel_stats``.
     """
 
     def __init__(self) -> None:
-        self.shard_samples: list[ShardSample] = []
-        #: Final fleet rollup (a :class:`repro.fleet.FleetRollup`); None
-        #: until the run completes.
-        self.rollup = None
-
-    # -- fleet-service hooks -----------------------------------------------------
-
-    def on_shard(self, shard: int, rollup, resumed: bool, kernel_stats=None) -> None:
-        """Record one completed shard's rollup (not retained, only sampled)."""
-        self.shard_samples.append(
-            ShardSample(
-                shard=shard,
-                devices=rollup.devices,
-                failures=rollup.failure_count,
-                resumed=resumed,
-                kernel_stats=kernel_stats,
-            )
-        )
-
-    def on_fleet_end(self, rollup) -> None:
-        self.rollup = rollup
+        self.result = None
 
     def kernel_stats_total(self):
-        """Merged per-phase kernel timing across recomputed shards.
-
-        Returns a :class:`repro.fleet.kernel.KernelStats`, or None when no
-        shard reported one (scalar kernel, or everything resumed).
-        """
-        total = None
-        for sample in self.shard_samples:
-            if sample.kernel_stats is None:
-                continue
-            if total is None:
-                from repro.fleet.kernel import KernelStats
-
-                total = KernelStats()
-            total.merge(sample.kernel_stats)
-        return total
-
-    # -- analysis helpers ----------------------------------------------------------
-
-    def devices_observed(self) -> int:
-        return sum(s.devices for s in self.shard_samples)
-
-    def resumed_shards(self) -> list[int]:
-        """Shard ids restored from the checkpoint journal, in shard order."""
-        return [s.shard for s in self.shard_samples if s.resumed]
-
-    def decision_path_totals(self):
-        """Fleet-total decision-path counters from the final rollup."""
-        if self.rollup is None:
-            return None
-        return self.rollup.overall.decision_path_totals()
+        """``result.kernel_stats``; None before any run."""
+        return None if self.result is None else self.result.kernel_stats

@@ -16,8 +16,8 @@ migration thresholds, where lanes on different sub-paths share each
 handler call.
 
 Also covered: ``kernel="auto"`` resolution, and the per-phase
-:class:`KernelStats` telemetry (recorder exposure, rollup invariance,
-loop coverage).
+:class:`KernelStats` telemetry (``FleetResult.kernel_stats``, rollup
+invariance, loop coverage).
 """
 
 import dataclasses
@@ -322,32 +322,21 @@ class TestAutoKernel:
 
 class TestKernelStatsTelemetry:
     def test_vector_run_reports_phase_timings(self):
-        from repro.sim.telemetry import FleetRecorder
-
         spec = FleetSpec(devices=6, n_events=8,
                          policies=("NA", "AD", "TH50", "QZ"))
-        recorder = FleetRecorder()
-        run_fleet(spec, shards=2, jobs=1, kernel="vector", recorder=recorder)
-        total = recorder.kernel_stats_total()
-        assert total is not None
+        total = run_fleet(spec, shards=2, jobs=1, kernel="vector").kernel_stats
+        assert isinstance(total, KernelStats)
         assert total.lanes + total.scalar_lanes == spec.devices
         assert total.scalar_lanes > 0  # QZ devices fell back
         assert total.batches >= 1
         assert total.iterations > 0
         assert total.kernel_s > 0
         assert total.setup_s > 0
-        # Per-shard samples carry their own stats objects.
-        per_shard = [s.kernel_stats for s in recorder.shard_samples]
-        assert all(isinstance(s, KernelStats) for s in per_shard)
 
     def test_scalar_run_reports_no_stats(self):
-        from repro.sim.telemetry import FleetRecorder
-
         spec = FleetSpec(devices=4, n_events=8, policies=("NA",))
-        recorder = FleetRecorder()
-        run_fleet(spec, shards=1, jobs=1, kernel="scalar", recorder=recorder)
-        assert recorder.kernel_stats_total() is None
-        assert all(s.kernel_stats is None for s in recorder.shard_samples)
+        result = run_fleet(spec, shards=1, jobs=1, kernel="scalar")
+        assert result.kernel_stats is None
 
     def test_stats_never_enter_rollup_or_journal(self, tmp_path):
         spec = FleetSpec(devices=6, n_events=8, policies=("NA", "TH50"))
@@ -356,16 +345,13 @@ class TestKernelStatsTelemetry:
                            checkpoint=ckpt)
         scalar = run_fleet(spec, shards=2, jobs=1, kernel="scalar")
         # Rollup (and therefore the journal payload) is kernel-invariant:
-        # stats are recorder-only telemetry.
+        # stats are result-only telemetry.
         assert vector.rollup.to_dict() == scalar.rollup.to_dict()
-        from repro.sim.telemetry import FleetRecorder
-
-        recorder = FleetRecorder()
         resumed = run_fleet(spec, shards=2, jobs=1, kernel="vector",
-                            checkpoint=ckpt, resume=True, recorder=recorder)
+                            checkpoint=ckpt, resume=True)
         assert resumed.resumed_shards == 2
         # Resumed shards were not recomputed, so they carry no stats.
-        assert recorder.kernel_stats_total() is None
+        assert resumed.kernel_stats is None
 
     def test_ctrl_time_covers_compaction_and_final_harvest(self, monkeypatch):
         # Every compaction harvests, and the batch harvests once more after
@@ -384,15 +370,13 @@ class TestKernelStatsTelemetry:
         assert stats.compactions > 0
         assert stats.ctrl_s >= (stats.compactions + stats.batches) * pause
 
-    def test_stats_roundtrip_and_render(self):
+    def test_stats_merge_and_render(self):
         stats = KernelStats(lanes=10, scalar_lanes=2, migrated_lanes=7,
                             batches=1, iterations=123, ctrl_s=0.5, adv_s=1.0,
                             rech_s=0.25, lane_build_s=0.1, batch_init_s=0.05)
-        clone = KernelStats.from_dict(stats.as_dict())
-        assert clone.as_dict() == stats.as_dict()
         merged = KernelStats()
         merged.merge(stats)
-        merged.merge(clone)
+        merged.merge(stats)
         assert merged.iterations == 246
         assert merged.migrated_lanes == 14
         assert merged.kernel_s == pytest.approx(3.5)

@@ -1,5 +1,6 @@
 """The fleet determinism contract: shard-invariant, kill-resume-identical."""
 
+import itertools
 import json
 import os
 
@@ -8,6 +9,10 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.fleet import FleetSpec, run_fleet
 from repro.fleet.checkpoint import FleetCheckpoint
+from repro.fleet.kernel import KernelStats
+from repro.fleet.rollup import FleetRollup
+from repro.fleet.service import run_shard
+from repro.serve.cache import canonical_rollup_json
 from repro.sim.telemetry import FleetRecorder
 
 
@@ -39,36 +44,82 @@ class TestShardInvariance:
         assert result.shards == 2
         assert result.rollup.devices == 2
 
-    def test_recorder_sees_every_shard_in_order(self):
-        recorder = FleetRecorder()
-        result = run_fleet(small_spec(), shards=3, jobs=1, recorder=recorder)
-        assert [s.shard for s in recorder.shard_samples] == [0, 1, 2]
-        assert recorder.devices_observed() == 6
-        assert recorder.resumed_shards() == []
-        assert recorder.rollup == result.rollup
-        assert recorder.decision_path_totals() is not None
+    def test_result_counts_every_shard(self):
+        result = run_fleet(small_spec(), shards=3, jobs=1)
+        assert result.computed_shards == 3
+        assert result.resumed_shards == 0
+        assert result.rollup.devices == 6
+        assert result.rollup.overall.decision_path_totals().scored_candidates > 0
+
+    def test_live_shard_rollup_equals_its_dict_round_trip(self):
+        # Workers ship shard rollups as objects, not as to_dict() payloads
+        # parsed back in the parent; that is only sound while the two
+        # spellings encode, compare and merge identically, on both kernels.
+        for spec, kernel in itertools.product(
+            (small_spec(), small_spec(policies=("QZ", "NA"), n_events=5)),
+            ("scalar", "vector"),
+        ):
+            live = [run_shard(spec, 3, shard, kernel=kernel)
+                    for shard in range(3)]
+            parsed = [FleetRollup.from_dict(r.to_dict()) for r in live]
+            for a, b in zip(live, parsed):
+                assert canonical_rollup_json(a.to_dict()) == (
+                    canonical_rollup_json(b.to_dict()))
+                assert a == b
+            totals = []
+            for parts in (live, parsed):
+                total = FleetRollup()
+                for part in parts:
+                    total.merge(part)
+                totals.append(canonical_rollup_json(total.to_dict()))
+            assert totals[0] == totals[1]
+
+
+#: The KernelStats count fields: equal on any run of the same shards.
+_COUNTS = ("lanes", "scalar_lanes", "batches", "iterations", "compactions",
+           "migrated_lanes", "fallback_lanes")
+
+
+def _counts(stats) -> tuple:
+    return tuple(getattr(stats, name) for name in _COUNTS)
 
 
 class TestFleetRecorderTelemetry:
+    """``FleetResult.kernel_stats``, and the recorder's view of it."""
+
     def test_kernel_stats_total_with_mixed_shards(self):
         # QZ devices fall outside the vector envelope, so every shard's
         # KernelStats mixes vector lanes with scalar fallbacks.
-        recorder = FleetRecorder()
-        run_fleet(small_spec(), shards=3, jobs=1, kernel="vector",
-                  recorder=recorder)
-        per_shard = [s.kernel_stats for s in recorder.shard_samples]
-        assert all(stats is not None for stats in per_shard)
-        total = recorder.kernel_stats_total()
+        spec = small_spec()
+        total = run_fleet(spec, shards=3, jobs=1, kernel="vector").kernel_stats
         assert total.lanes + total.scalar_lanes == 6
         assert total.lanes > 0
         assert total.scalar_lanes > 0  # the QZ devices
-        assert total.batches == sum(s.batches for s in per_shard)
+        expected = KernelStats()
+        for shard in range(3):
+            stats = KernelStats()
+            run_shard(spec, 3, shard, kernel="vector", stats=stats)
+            expected.merge(stats)
+        assert _counts(total) == _counts(expected)
+
+    def test_kernel_stats_counts_equal_at_any_jobs(self, monkeypatch):
+        from repro.fleet import kernel
+
+        # Narrow batches migrate once the threshold is lowered (forked
+        # workers inherit the patch).
+        monkeypatch.setattr(kernel, "_MIGRATE_LANES", 4)
+        spec = small_spec(devices=30, policies=("NA", "AD", "TH50", "QZ"))
+        serial = run_fleet(spec, shards=3, jobs=1, kernel="vector")
+        forked = run_fleet(spec, shards=3, jobs=2, kernel="vector")
+        assert _counts(serial.kernel_stats) == _counts(forked.kernel_stats)
+        assert serial.kernel_stats.migrated_lanes > 0
+        assert serial.kernel_stats.scalar_lanes > 0
 
     def test_kernel_stats_total_none_for_scalar_runs(self):
         recorder = FleetRecorder()
-        run_fleet(small_spec(), shards=2, jobs=1, kernel="scalar",
-                  recorder=recorder)
-        assert all(s.kernel_stats is None for s in recorder.shard_samples)
+        result = run_fleet(small_spec(), shards=2, jobs=1, kernel="scalar",
+                           recorder=recorder)
+        assert result.kernel_stats is None
         assert recorder.kernel_stats_total() is None
 
     def test_kernel_stats_total_skips_resumed_shards(self, tmp_path):
@@ -76,31 +127,39 @@ class TestFleetRecorderTelemetry:
         ckpt = str(tmp_path / "journal")
         run_fleet(spec, shards=3, jobs=1, kernel="vector",
                   checkpoint=ckpt, stop_after=1)
+        result = run_fleet(spec, shards=3, jobs=1, kernel="vector",
+                           checkpoint=ckpt, resume=True)
+        assert result.resumed_shards == 1
+        # Only the two recomputed shards (devices 2-5) report timing.
+        stats = result.kernel_stats
+        assert stats.lanes + stats.scalar_lanes == 4
+        # A run that resumes every shard computes nothing.
+        again = run_fleet(spec, shards=3, jobs=1, kernel="vector",
+                          checkpoint=ckpt, resume=True)
+        assert again.computed_shards == 0
+        assert again.kernel_stats is None
+
+    def test_recorder_is_a_view_of_the_result(self):
         recorder = FleetRecorder()
-        run_fleet(spec, shards=3, jobs=1, kernel="vector",
-                  checkpoint=ckpt, resume=True, recorder=recorder)
-        assert recorder.resumed_shards() == [0]
-        for sample in recorder.shard_samples:
-            assert (sample.kernel_stats is None) == sample.resumed
-        # The recomputed shards still report timing.
-        assert recorder.kernel_stats_total() is not None
+        assert recorder.kernel_stats_total() is None
+        result = run_fleet(small_spec(), shards=2, jobs=1, kernel="vector",
+                           recorder=recorder)
+        assert result.kernel_stats is not None
+        assert recorder.kernel_stats_total() is result.kernel_stats
 
     def test_decision_path_totals_survive_resume(self, tmp_path):
         spec = small_spec()
-        straight = FleetRecorder()
-        run_fleet(spec, shards=3, jobs=1, recorder=straight)
+        straight = run_fleet(spec, shards=3, jobs=1)
         ckpt = str(tmp_path / "journal")
         run_fleet(spec, shards=3, jobs=1, checkpoint=ckpt, stop_after=1)
-        resumed = FleetRecorder()
-        run_fleet(spec, shards=3, jobs=1, checkpoint=ckpt, resume=True,
-                  recorder=resumed)
-        assert resumed.resumed_shards() == [0]
-        assert (
-            resumed.decision_path_totals().as_dict()
-            == straight.decision_path_totals().as_dict()
-        )
+        resumed = run_fleet(spec, shards=3, jobs=1, checkpoint=ckpt,
+                            resume=True)
+        assert resumed.resumed_shards == 1
+        totals = resumed.rollup.overall.decision_path_totals()
+        assert totals.as_dict() == (
+            straight.rollup.overall.decision_path_totals().as_dict())
         # The QZ devices did real cached-decision work.
-        assert resumed.decision_path_totals().scored_candidates > 0
+        assert totals.scored_candidates > 0
 
 
 class TestCheckpointResume:
@@ -113,13 +172,11 @@ class TestCheckpointResume:
         assert not killed.complete
         assert killed.pending_shards == [1, 2]
 
-        recorder = FleetRecorder()
         resumed = run_fleet(spec, shards=3, jobs=1, checkpoint=ckpt,
-                            resume=True, recorder=recorder)
+                            resume=True)
         assert resumed.complete
         assert resumed.resumed_shards == 1
         assert resumed.computed_shards == 2
-        assert recorder.resumed_shards() == [0]
         assert resumed.rollup == straight.rollup
         assert resumed.rollup.to_dict() == straight.rollup.to_dict()
 

@@ -276,6 +276,19 @@ class TestFleetTracing:
         assert len(recorder.buffer_samples) == captures
         assert {s.input_power_w for s in recorder.buffer_samples} == {None}
 
+    def test_occupancy_statistics_are_kernel_independent(self):
+        # The scalar engine also emits inactive capture ticks and the
+        # vector kernel does not; occupancy counts active ticks only.
+        spec = baseline_spec(devices=8, n_events=5, policies=("NA", "AD"))
+        recorders = {}
+        for kernel in ("scalar", "vector"):
+            recorders[kernel] = TelemetryRecorder()
+            run_fleet(spec, kernel=kernel, trace=recorders[kernel])
+        scalar, vector = recorders["scalar"], recorders["vector"]
+        assert len(scalar.buffer_samples) > len(vector.buffer_samples)
+        assert scalar.peak_occupancy() == vector.peak_occupancy() > 0
+        assert scalar.mean_occupancy() == vector.mean_occupancy() > 0
+
     def test_heartbeat_stream_from_run_fleet(self):
         spec = baseline_spec()
         buffer = io.StringIO()

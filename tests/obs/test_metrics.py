@@ -192,6 +192,34 @@ class TestFleetRegistry:
             rollup.by_policy["QZ"].sums["prediction_error_s"]
         assert registry.to_prometheus()
 
+    def test_decision_path_totals_are_the_per_policy_sums(self):
+        # Each exported decision-path total is carried by a RunMetrics
+        # counter; decisions and score_table_rebuilds are not, so they
+        # are not exported at all rather than as constant zeros.
+        rollup = run_fleet(
+            small_fleet(policies=("QZ", "NA")), shards=2, jobs=1
+        ).rollup
+        registry = fleet_registry(rollup)
+        carried = {
+            "scored_candidates": "decision_scored_candidates",
+            "cache_hits": "decision_cache_hits",
+            "cache_misses": "decision_cache_misses",
+            "degradation_walks": "degradation_walks",
+            "degradation_walk_steps": "degradation_walk_steps",
+        }
+        prefix = "repro_decision_path_"
+        exported = {
+            family.name[len(prefix):-len("_total")]
+            for family in registry.families()
+            if family.name.startswith(prefix)
+        }
+        assert exported == set(carried)
+        for name, counter in carried.items():
+            per_policy = registry.get(f"repro_{counter}_total")
+            total = sum(per_policy.value(policy=p) for p in rollup.by_policy)
+            assert registry.get(f"{prefix}{name}_total").value() == total
+        assert registry.get(f"{prefix}cache_misses_total").value() > 0
+
     def test_registry_is_kernel_invariant(self):
         spec = small_fleet()
         scalar = fleet_registry(run_fleet(spec, shards=2, jobs=1,

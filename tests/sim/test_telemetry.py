@@ -95,8 +95,8 @@ class TestRecorder:
         assert len(sparse.buffer_samples) >= len(dense.buffer_samples) // 4
 
     def test_sampling_does_not_thin_occupancy_statistics(self, steady_trace):
-        # Peak/mean run over every capture tick; sample_every thins only
-        # the stored series.
+        # Peak/mean run over every active capture tick; sample_every thins
+        # only the stored series.
         dense, _ = run_with_telemetry(NoAdaptPolicy(), steady_trace, sample_every=1)
         sparse, _ = run_with_telemetry(NoAdaptPolicy(), steady_trace, sample_every=4)
         assert sparse.peak_occupancy() == dense.peak_occupancy()
@@ -114,6 +114,11 @@ class TestRecorder:
         )
         assert sparse.peak_occupancy() == dense.peak_occupancy()
         assert sparse.mean_occupancy() == dense.mean_occupancy()
+        # The stored series also holds inactive ticks, which can see one
+        # more image than any active tick.  Here an active tick finds the
+        # buffer full (the input it brings overflows), so the peak is the
+        # capacity, and no stored sample can exceed it.
+        assert sparse.peak_occupancy() == SimulationConfig().buffer_capacity
         stored_peak = max(s.occupancy for s in sparse.buffer_samples)
         assert stored_peak <= sparse.peak_occupancy()
 

@@ -56,7 +56,6 @@ API_SNAPSHOT = sorted([
     "FleetResult",
     "FleetRollup",
     "MetricsRollup",
-    "FleetRecorder",
     # observability
     "TraceEvent",
     "RingBufferTracer",

@@ -121,22 +121,25 @@ def test_section7_figures():
 
 
 def test_section10_fleet():
-    from repro.api import FleetRecorder, FleetSpec, run_fleet
+    from repro.api import FleetSpec, run_fleet
 
     spec = FleetSpec(
         devices=6, seed=7, n_events=3,
         policies=("QZ", "NA", "TH50"),
         environments=("crowded", "less crowded"),
     )
-    recorder = FleetRecorder()
-    result = run_fleet(spec, shards=2, jobs=1, recorder=recorder)
+    result = run_fleet(spec, shards=2, jobs=1)
     assert result.complete
     assert "devices" in result.render()
     assert "discarded_fraction_p99" in result.summary()
-    assert recorder.devices_observed() == 6
+    assert result.rollup.devices == 6
+    assert result.kernel_stats is None  # no shard ran on the vector kernel
     assert result.rollup == run_fleet(spec, shards=1, jobs=1).rollup
     # The vector kernel is only ever a faster spelling of the scalar one.
-    assert result.rollup == run_fleet(spec, shards=1, jobs=1, kernel="vector").rollup
+    vector = run_fleet(spec, shards=1, jobs=1, kernel="vector")
+    assert result.rollup == vector.rollup
+    stats = vector.kernel_stats
+    assert stats.lanes + stats.scalar_lanes == 6
 
 
 def test_section8_parallel_grids():
