@@ -52,8 +52,9 @@ figures-paper-scale:
 	PYTHONPATH=src python -m repro.experiments --events 1000 --seeds 3 \
 		--json results_paper_scale.json | tee results_paper_scale.txt
 
+# Run every example script; fails at the first one that fails.
 examples:
-	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src python $$f; done
+	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src python $$f || exit 1; done
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache \

@@ -104,7 +104,7 @@ def add_core_flags(parser: argparse.ArgumentParser) -> None:
         "device, 'vector' advances covered devices in numpy lockstep "
         "(bit-identical results; uncovered devices fall back to scalar), "
         "'auto' (default) picks vector when every policy is covered and "
-        "every shard has at least 192 devices",
+        "every shard has at least 128 devices",
     )
     parser.add_argument(
         "--trace-store",

@@ -110,7 +110,7 @@ def _resolve_store(trace_store):
 #: Narrowest shard ``auto`` sends to the vector kernel: the measured
 #: crossover below which the kernel's fixed per-iteration numpy cost loses
 #: to the scalar engine (DESIGN.md, "Where `auto` draws the line").
-_MIN_VECTOR_LANES = 192
+_MIN_VECTOR_LANES = 128
 
 
 def _auto_choice(spec: FleetSpec, shards: int, factories=None) -> tuple[str, str]:
@@ -270,7 +270,7 @@ def run_fleet(
         lockstep numpy kernel (bit-identical rollup; Quetzal and other
         uncovered devices fall back to the scalar engine automatically);
         ``"auto"`` picks vector when every policy in the spec's mix is
-        inside the vector envelope and every shard is at least 192
+        inside the vector envelope and every shard is at least 128
         devices wide, scalar otherwise (see :func:`resolve_kernel`),
         logging the choice and its reason via ``progress``.
     recorder:

@@ -174,8 +174,8 @@ class SimulationEngine:
         )
         # Differencing-filter draws are consumed in stream order but fetched
         # in chunks (Generator.random(n) yields the identical sequence to n
-        # scalar draws).
-        self._rng_chunk: list[float] = []
+        # scalar draws), held as a float64 buffer view like the cursor's.
+        self._rng_chunk = memoryview(np.empty(0))
         self._rng_pos = 0
         # Index of the last event started by the latest capture tick (the
         # monotone event lookup in _fire_due_captures).
@@ -324,7 +324,7 @@ class SimulationEngine:
         chunks, self._rng_pos = divmod(capture_draws, _CAP_CHUNK)
         self._capture_rng.random(chunks * _CAP_CHUNK)
         if self._rng_pos:
-            self._rng_chunk = self._capture_rng.random(_CAP_CHUNK).tolist()
+            self._rng_chunk = memoryview(self._capture_rng.random(_CAP_CHUNK))
         self.rng.random(classify_draws)
         for capture_time, interesting, job_name in pending:
             self.buffer.try_insert(
@@ -394,7 +394,8 @@ class SimulationEngine:
             # policies at a given seed, whether or not an event is in
             # progress.  Draws are prefetched in chunks from the same stream.
             if pos == len(chunk):
-                chunk = self._rng_chunk = self._capture_rng.random(_CAP_CHUNK).tolist()
+                chunk = memoryview(self._capture_rng.random(_CAP_CHUNK))
+                self._rng_chunk = chunk
                 pos = 0
             diff_draw = chunk[pos]
             pos += 1

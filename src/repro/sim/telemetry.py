@@ -87,16 +87,6 @@ class DecisionPathStats:
             return 0.0
         return self.degradation_walk_steps / self.degradation_walks
 
-    def accumulate(self, other: "DecisionPathStats") -> None:
-        """Add another run's counters in (used by fleet-level rollups)."""
-        self.decisions += other.decisions
-        self.scored_candidates += other.scored_candidates
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.score_table_rebuilds += other.score_table_rebuilds
-        self.degradation_walks += other.degradation_walks
-        self.degradation_walk_steps += other.degradation_walk_steps
-
     def as_dict(self) -> dict:
         return {
             "decisions": self.decisions,

@@ -131,26 +131,6 @@ class PiecewiseConstantTrace:
         tail = powers[-1] * (period - times[-1])
         return cum_energy, float(cum_energy[-1] + tail)
 
-    # The plain-list mirrors of the arrays (bisect wants a list, and list
-    # indexing skips the per-access numpy-scalar boxing the cursor would
-    # otherwise pay) are materialized on first use: the vector fleet
-    # kernel binds the ndarrays directly and never touches them, so
-    # building a store-attached or generator-built trace stays O(1) in
-    # list work until a scalar cursor actually needs the copies.
-    def __getattr__(self, name: str):
-        if name == "_times_list":
-            value = self._times.tolist()
-        elif name == "_powers_list":
-            value = self._powers.tolist()
-        elif name == "_cum_energy_list":
-            value = self._cum_energy.tolist()
-        else:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        setattr(self, name, value)
-        return value
-
     @classmethod
     def _attach(
         cls,
@@ -351,9 +331,13 @@ class TraceCursor:
                 f"TraceCursor requires a PiecewiseConstantTrace, got {type(trace).__name__}"
             )
         self.trace = trace
-        self._times: list[float] = trace._times_list
-        self._powers: list[float] = trace._powers_list
-        self._cum: list[float] = trace._cum_energy_list
+        # Zero-copy float64 views of the trace's own arrays: indexing one
+        # yields the same Python float as indexing ``tolist()`` would, and
+        # ``bisect`` takes it as a sequence, so no per-sample float objects
+        # are built.
+        self._times = memoryview(trace._times)
+        self._powers = memoryview(trace._powers)
+        self._cum = memoryview(trace._cum_energy)
         self._n = len(self._times)
         self._period = trace._period
         self._epp = trace._energy_per_period

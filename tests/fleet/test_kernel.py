@@ -309,6 +309,45 @@ class TestTraceResidency:
             assert not np.shares_memory(lane.trace._powers, powers)
             assert not np.shares_memory(lane.trace._cum_energy, cum)
 
+    def test_cursors_bind_the_trace_arrays(self, tmp_path):
+        """A scalar cursor reads a generated, a store-attached and a
+        detached trace through views of the trace's own arrays."""
+        import numpy as np
+
+        from repro.fleet import kernel
+        from repro.trace.store import TraceStore
+
+        spec = baseline_spec(24)
+        _, config = spec.device_config(0)
+        store = TraceStore.create(tmp_path / "store")
+        store.build_for_spec(spec)
+        batch = kernel._VectorBatch(one_batch_of_lanes(spec), standard_policies())
+        traces = (config.build_trace(), store.trace_for(config), batch._detach(0).trace)
+        for trace in traces:
+            cursor = trace.cursor()
+            for view, array in ((cursor._times, trace._times),
+                                (cursor._powers, trace._powers),
+                                (cursor._cum, trace._cum_energy)):
+                assert np.shares_memory(np.asarray(view), array)
+
+    def test_continuations_add_no_per_sample_objects(self):
+        """Each migrated lane keeps two private float64 rows (16 bytes a
+        sample); Python floats per sample would add 96 bytes a sample."""
+        import tracemalloc
+
+        from repro.fleet import kernel
+
+        lanes = one_batch_of_lanes(baseline_spec(200))
+        batch = kernel._VectorBatch(lanes, standard_policies())
+        tracemalloc.start()
+        try:
+            batch.run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(batch._resume) >= 60
+        assert peak < len(batch._resume) * batch.N * 48
+
     def test_reusing_finished_lanes_raises(self):
         from repro.fleet import kernel
 

@@ -260,10 +260,10 @@ class TestAutoKernel:
         assert resolve_kernel(spec, "auto") == "scalar"
 
     def test_auto_judges_width_per_shard(self):
-        # 512 devices over 4 shards is 128 lanes per shard: below 192.
+        # 512 devices over 5 shards is 102 lanes per shard: below 128.
         spec = FleetSpec(devices=512, policies=("NA", "AD", "TH50"))
-        assert resolve_kernel(spec, "auto", shards=2) == "vector"
-        assert resolve_kernel(spec, "auto", shards=4) == "scalar"
+        assert resolve_kernel(spec, "auto", shards=4) == "vector"
+        assert resolve_kernel(spec, "auto", shards=5) == "scalar"
 
     def test_auto_resolves_scalar_when_any_policy_uncovered(self):
         for devices in (4, 256, 4096):
@@ -290,7 +290,7 @@ class TestAutoKernel:
         assert auto.rollup.to_dict() == explicit.rollup.to_dict()
         assert (
             "[fleet] kernel auto -> scalar "
-            "(3 devices per shard < 192; policies: NA, TH50)"
+            "(3 devices per shard < 128; policies: NA, TH50)"
         ) in lines
 
     def test_run_fleet_auto_logs_uncovered_policy(self):
@@ -303,7 +303,7 @@ class TestAutoKernel:
         ) in lines
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("devices, chosen", [(191, "scalar"), (192, "vector")])
+    @pytest.mark.parametrize("devices, chosen", [(127, "scalar"), (128, "vector")])
     def test_run_fleet_auto_at_the_crossover(self, devices, chosen):
         spec = FleetSpec(devices=devices, n_events=1, policies=("NA", "AD", "TH50"))
         lines = []

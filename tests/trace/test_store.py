@@ -634,7 +634,7 @@ def open_fds() -> int | None:
 
 class TestAttachmentLifetime:
     """Attachments are run-scoped: held while a lane or engine uses them,
-    released (mapping, fd and lazy list mirrors) when the run drops them."""
+    released (mapping and fd) when the run drops them."""
 
     def test_memo_dedupes_while_held(self, tmp_path):
         config = small_config()

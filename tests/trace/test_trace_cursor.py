@@ -57,14 +57,15 @@ def traces(draw, periodic=None):
 @st.composite
 def query_times(draw, trace):
     """A time inside [0, ~4 periods], biased toward segment boundaries."""
-    span = (trace.period or trace._times_list[-1] + 1.0) * 4.0 + 1.0
+    times = trace.cursor()._times
+    span = (trace.period or times[-1] + 1.0) * 4.0 + 1.0
     base = draw(st.floats(0.0, span, allow_nan=False))
     if draw(st.booleans()):
         # Land on or just around a (period-shifted) boundary to stress the
         # float edges where folding and bisection disagree most easily.
         k = draw(st.integers(0, 3))
-        i = draw(st.integers(0, len(trace._times_list) - 1))
-        edge = trace._times_list[i] + k * (trace.period or 0.0)
+        i = draw(st.integers(0, len(times) - 1))
+        edge = times[i] + k * (trace.period or 0.0)
         base = draw(
             st.sampled_from(
                 [edge, math.nextafter(edge, math.inf), math.nextafter(edge, 0.0)]
@@ -212,7 +213,7 @@ def _digest_points(index: int) -> tuple[tuple[float, float, float], ...]:
     about 1 J (infinite on the dark and denormal traces)."""
     trace = _digest_traces()[index]
     rng = np.random.default_rng(1000 + index)
-    times = trace._times_list
+    times = trace.cursor()._times
     period = trace.period
     span = period if period is not None else times[-1] + 1.0
     per_period = trace.integrate(0.0, span)
@@ -276,6 +277,12 @@ class TestGoldenQueryDigests:
 # -- fast-path constructors --------------------------------------------------
 
 
+def cursor_views(trace):
+    """The ``(times, powers, cum)`` buffer views a cursor binds."""
+    cursor = trace.cursor()
+    return cursor._times, cursor._powers, cursor._cum
+
+
 class TestFastConstructors:
     @given(
         powers=st.lists(levels, min_size=1, max_size=30),
@@ -290,9 +297,7 @@ class TestFastConstructors:
         times = [i * sample_period for i in range(len(powers))]
         period = len(powers) * sample_period if repeat else None
         reference = PiecewiseConstantTrace(times, powers, period=period)
-        assert fast._times_list == reference._times_list
-        assert fast._powers_list == reference._powers_list
-        assert fast._cum_energy_list == reference._cum_energy_list
+        assert cursor_views(fast) == cursor_views(reference)
         assert fast.period == reference.period
         assert fast._energy_per_period == reference._energy_per_period
 
@@ -301,13 +306,11 @@ class TestFastConstructors:
     def test_scaled_matches_explicit_construction(self, data, factor):
         trace = data.draw(traces())
         fast = trace.scaled(factor)
+        times, powers, _ = cursor_views(trace)
         reference = PiecewiseConstantTrace(
-            trace._times_list,
-            [p * factor for p in trace._powers_list],
-            period=trace.period,
+            times, [p * factor for p in powers], period=trace.period
         )
-        assert fast._powers_list == reference._powers_list
-        assert fast._cum_energy_list == reference._cum_energy_list
+        assert cursor_views(fast)[1:] == cursor_views(reference)[1:]
         assert fast._energy_per_period == reference._energy_per_period
         t = data.draw(query_times(trace))
         assert fast.power(t) == reference.power(t)
