@@ -66,23 +66,11 @@ class PIDController:
         self._previous_error: float | None = None
         self._derivative = 0.0
         self._output = 0.0
-        self._epoch = 0
 
     @property
     def output(self) -> float:
         """Most recent controller output (0 before any update)."""
         return self._output
-
-    @property
-    def epoch(self) -> int:
-        """Correction-change counter: bumped only when :attr:`output` moves.
-
-        An update whose output lands on the exact same float (e.g. both
-        ends pinned at an output limit) leaves the epoch unchanged, so a
-        score cache keyed on it is invalidated only when the correction
-        actually changes (see :mod:`repro.core.runtime`'s decision cache).
-        """
-        return self._epoch
 
     def update(self, error: float, dt_s: float) -> float:
         """Advance the controller with a new error sample.
@@ -128,7 +116,5 @@ class PIDController:
             output = min(max(output, low), high)
 
         self._previous_error = error
-        if output != self._output:
-            self._epoch += 1
         self._output = output
         return output

@@ -26,7 +26,7 @@ from repro.core.service_time import (
 )
 from repro.core.trackers import ArrivalRateTracker, ExecutionProbabilityTracker
 from repro.device.mcu import MCUProfile
-from repro.errors import ConfigurationError, SchedulingError
+from repro.errors import ConfigurationError
 from repro.hardware.costs import scheduler_invocation_cost
 from repro.policies.base import (
     CompletionRecord,
@@ -55,7 +55,7 @@ def _make_ibo(
 ) -> IBODecision:
     """Field-for-field identical to ``IBODecision(...)``, skipping the
     frozen dataclass's generated ``__init__`` (one ``object.__setattr__``
-    per field) — built once per decision-memo miss on the hot path."""
+    per field) — built once per candidate per decision on the hot path."""
     ibo = _OBJ_NEW(IBODecision)
     d = ibo.__dict__
     d["option"] = option
@@ -67,29 +67,20 @@ def _make_ibo(
 
 
 class _JobDecisionPlan:
-    """Per-job constants and caches for the decision path.
+    """Per-job constants and the estimator-row cache of the decision path.
 
     Built once in :meth:`QuetzalRuntime.prepare`, a plan flattens the
     job-structure lookups Algorithm 2 repeats every decision — the
     degradable task, its quality-ordered option tuple, and the
     (task, highest-option, conditional) terms of the non-degradable E[S]
-    sum — and carries two single-slot caches:
-
-    * ``rows`` — Eq.-1 score tables ``(non_deg_e_s, deg_prob, s_times)``
-      keyed by estimator token.  When the (monotonic, global) probability
-      epoch moves, the plan revalidates cheaply: the current values of the
-      probabilities its rows actually depend on (``conditional_names``)
-      are compared against ``probs_key``, and ``rows`` is cleared only
-      when they really changed — a bump caused by some *other* job's task
-      window leaves this plan's tables intact.  The hardware estimator
-      has at most 256 tokens (the 8-bit V_D1 code), so a varying trace
-      revisits old codes and finds their tables still cached;
-    * ``memo_key``/``memo_ibo`` — the last full :class:`IBODecision`,
-      keyed additionally on (λ, free buffer space, PID correction).
-      Single-slot by design: the PID correction moves on nearly every
-      completion, so a dict keyed on full tuples would grow with the run;
-      one slot still catches correction-free configurations (``pid=None``
-      ablations, saturated-clamp stretches).
+    sum — and carries ``svc_rows``, the decision path's one cache: the
+    estimator's answers for this job (the non-degradable tasks' S_e2e and
+    the degradable task's S_e2e vector), keyed by estimator token.  Eq. 1
+    depends on nothing else that changes at run time, so the hardware
+    estimator, whose token is the 8-bit V_D1 code, fills at most 256 rows
+    and a varying trace finds old codes still cached.  The execution
+    probabilities, λ, free space and PID correction are read fresh every
+    decision.
     """
 
     __slots__ = (
@@ -98,13 +89,7 @@ class _JobDecisionPlan:
         "deg_conditional",
         "options",
         "non_deg_terms",
-        "conditional_names",
-        "rows",
         "svc_rows",
-        "rows_epoch",
-        "probs_key",
-        "memo_key",
-        "memo_ibo",
     )
 
     def __init__(self, job: Job) -> None:
@@ -117,27 +102,7 @@ class _JobDecisionPlan:
             (ref.task, ref.task.highest_quality, ref.conditional)
             for ref in job.non_degradable_refs
         )
-        # Every probability input a score row depends on, in a fixed
-        # order — the epoch-moved revalidation compares their current
-        # values against ``probs_key``.
-        names = [task.name for task, _, cond in self.non_deg_terms if cond]
-        if self.deg_conditional:
-            names.append(self.deg_task_name)
-        self.conditional_names = tuple(names)
-        self.invalidate()
-
-    def invalidate(self) -> None:
-        """Drop all caches (run reset; epoch counters restart at 0)."""
-        self.rows: dict = {}
-        # Estimator-only halves of the rows (per-task service times + the
-        # degradable S_e2e vector), keyed by token alone: probability
-        # changes drop `rows` but never these, so a re-assembly is pure
-        # arithmetic with no estimator calls.
         self.svc_rows: dict = {}
-        self.rows_epoch = -1
-        self.probs_key: tuple | None = None
-        self.memo_key = None
-        self.memo_ibo = None
 
 
 class QuetzalRuntime(Policy):
@@ -194,15 +159,8 @@ class QuetzalRuntime(Policy):
         self._probabilities = ExecutionProbabilityTracker(task_window)
         self._last_completion_s: float | None = None
         self._plans: dict[str, _JobDecisionPlan] = {}
-        self._sjf_inline = False
-        self._est_is_hw = False
         self._estimator_observes = True
         self._cost_cache: tuple[MCUProfile, tuple[float, float]] | None = None
-        # Hot-path bindings refreshed by _rebind_hot_refs() whenever the
-        # underlying objects are (re)created.
-        self._cache_token = self.estimator.cache_token
-        self._arr_window = None
-        self._arr_period = 1.0
         #: Work counters for the cached decision path (harvested into
         #: RunMetrics at the end of a run).
         self.decision_stats = DecisionPathStats()
@@ -221,11 +179,8 @@ class QuetzalRuntime(Policy):
         self._arrivals = ArrivalRateTracker(self.arrival_window, capture_period_s)
         self._plans = {job.name: _JobDecisionPlan(job) for job in jobs}
         self.decision_stats = DecisionPathStats()
-        # The decision path inlines the stock EASJF argmin (subclasses keep
-        # the scorer-callback protocol); estimators with the base no-op observe
-        # skip the per-completion feedback loop entirely.
-        self._sjf_inline = type(self.scheduler) is EnergyAwareSJF
-        self._est_is_hw = type(self.estimator) is HardwareServiceTimeEstimator
+        # Estimators with the base no-op observe skip the per-completion
+        # feedback loop entirely.
         self._estimator_observes = (
             type(self.estimator).observe is not ServiceTimeEstimator.observe
         )
@@ -233,31 +188,6 @@ class QuetzalRuntime(Policy):
         # time every executed task (see Policy.needs_task_spans).
         self.needs_task_spans = self._estimator_observes
         self._cost_cache = None
-        self._rebind_hot_refs()
-
-    def _rebind_hot_refs(self) -> None:
-        """Re-cache bound references used on the per-decision hot path."""
-        self._cache_token = self.estimator.cache_token
-        if self._arrivals is not None:
-            self._arr_window = self._arrivals.window
-            self._arr_period = self._arrivals.capture_period_s
-        self._refresh_select_binding()
-
-    def _refresh_select_binding(self) -> None:
-        """Point the instance's ``select`` at :meth:`_select_fast`.
-
-        Once the runtime is prepared, an instance attribute aliases
-        ``select`` to :meth:`_select_fast`, removing one dispatch frame
-        from every engine->policy call; before that the attribute is
-        absent, so lookup reaches the class's ``select`` and its
-        not-prepared guards.  The alias is a bound method created fresh in
-        every worker (policies are constructed worker-side), so it never
-        crosses a process boundary.
-        """
-        if self._plans and self._arrivals is not None:
-            self.select = self._select_fast  # type: ignore[method-assign]
-        else:
-            self.__dict__.pop("select", None)
 
     def attach_tracer(self, tracer) -> None:
         """Receive the engine's :class:`repro.obs.TraceSink` for the run.
@@ -277,12 +207,10 @@ class QuetzalRuntime(Policy):
         if self.pid is not None:
             self.pid.reset()
         self._last_completion_s = None
-        # Epoch counters restart with the trackers/PID, so cached rows keyed
-        # on the old epochs must not survive into the next run.
+        # Every run starts with an empty estimator-row cache.
         for plan in self._plans.values():
-            plan.invalidate()
+            plan.svc_rows.clear()
         self.decision_stats = DecisionPathStats()
-        self._rebind_hot_refs()
 
     # -- observation hooks ---------------------------------------------------------
 
@@ -338,15 +266,7 @@ class QuetzalRuntime(Policy):
     # -- the decision procedure -------------------------------------------------------
 
     def select(self, context: SchedulingContext) -> Decision:
-        # Reached only before prepare() (which aliases the instance's
-        # ``select`` to _select_fast) or on a direct class-level call.
-        self._require_jobs()
-        if self._arrivals is None:
-            raise ConfigurationError("QuetzalRuntime used before prepare()")
-        return self._select_fast(context)
-
-    def _select_fast(self, context: SchedulingContext) -> Decision:
-        """Alg. 1 + Alg. 2 fused: cached score tables + decision memo.
+        """Alg. 1 over Alg. 2: pick the job with the least realizable E[S].
 
         Each candidate is scored by its *realizable* E[S]: the service time
         at the degradation option the IBO walk would choose for it.
@@ -361,145 +281,37 @@ class QuetzalRuntime(Policy):
         :class:`~repro.core.ibo.IBOEngine`: the estimator's
         ``service_time_vector`` contract, the ``non_deg + deg_prob * s +
         correction`` association of ``IBOEngine.decide`` and ``growth >=
-        free`` detection; only their *re*-computation is skipped when the
-        epoch-stamped keys prove the inputs unchanged
-        (``tests/core/test_decision_cache.py`` checks single decisions
-        against ``IBOEngine`` and ``tests/sim/test_golden_runs.py`` pins
-        whole runs).  ``_refresh_select_binding`` aliases the instance's
-        ``select`` to this method once the runtime is prepared, so the
-        engine's per-decision call lands here without the dispatch frame.
+        free`` detection (``tests/core/test_decision_cache.py`` checks
+        single decisions against ``IBOEngine`` and
+        ``tests/sim/test_golden_runs.py`` pins whole runs).  Each candidate
+        is decided at most once per call, whichever scheduler asks.
         """
-        # Preamble: one input-power measurement per invocation (Alg. 1
-        # line 1), the PID correction and the arrival rate, with the
-        # property/method indirections flattened (``rate()`` is
-        # fraction/period; ``output`` reads ``_output``).
-        if self._est_is_hw:
-            # HardwareServiceTimeEstimator.begin_cycle + cache_token
-            # replicated inline (exact type checked at prepare() time, so
-            # overrides never land here): same skip-if-unchanged
-            # quantisation, two method calls fewer per decision.
-            est = self.estimator
-            p_in = context.true_input_power_w
-            if p_in != est._last_power_w:
-                est._v_d1_code = est.monitor.measure_input_power(p_in)
-                est._last_power_w = p_in
-            token = est._v_d1_code
-        else:
-            self.estimator.begin_cycle(context.true_input_power_w)
-            token = self._cache_token()
+        arrivals = self._arrivals
+        if arrivals is None:
+            raise ConfigurationError("QuetzalRuntime used before prepare()")
+        # One input-power measurement per invocation (Alg. 1 line 1).
+        estimator = self.estimator
+        estimator.begin_cycle(context.true_input_power_w)
+        token = estimator.cache_token()
         pid = self.pid
-        correction = pid._output if pid is not None else 0.0
-        win = self._arr_window
-        bits = win._bits
-        arrival_rate = (
-            (win._ones / len(bits)) if bits else 0.0
-        ) / self._arr_period
-        stats = self.decision_stats
-        stats.decisions += 1
-        prob_epoch = self._probabilities._epoch
+        correction = pid.output if pid is not None else 0.0
+        arrival_rate = arrivals.rate()
         limit = context.buffer_limit
         if limit is None:
             free = math.inf
         else:
             free = max(0.0, float(limit - context.buffer_occupancy))
-        key = (token, prob_epoch, arrival_rate, free, correction)
+        stats = self.decision_stats
+        stats.decisions += 1
         plans = self._plans
-
-        if self._sjf_inline:
-            # Stock EASJF: fuse cache lookup, scoring, and the argmin into
-            # one loop over the candidates — no scorer closures, no
-            # Selection object.  Semantics replicate EnergyAwareSJF.select
-            # exactly: each candidate scored once, NaN rejected, ties on
-            # E[S] broken toward the older input, first minimum wins.
-            best: JobCandidate | None = None
-            best_ibo: IBODecision | None = None
-            best_score = 0.0
-            best_age = 0.0
-            for candidate in context.candidates:
-                plan = plans[candidate.job.name]
-                if token is not None and plan.memo_key == key:
-                    stats.cache_hits += 1
-                    ibo = plan.memo_ibo
-                else:
-                    stats.cache_misses += 1
-                    # Happy path inlined: a valid cached row whose
-                    # detection comes back clean (the overwhelmingly
-                    # common case) short-circuits _decide_fast entirely.
-                    row = (
-                        plan.rows.get(token)
-                        if token is not None and plan.rows_epoch == prob_epoch
-                        else None
-                    )
-                    if row is not None:
-                        non_deg, deg_prob, s_times = row
-                        e_s = max(
-                            0.0, non_deg + deg_prob * s_times[0] + correction
-                        )
-                        if not (arrival_rate * e_s >= free):
-                            ibo = _make_ibo(
-                                plan.options[0], False, True, e_s, False
-                            )
-                        else:
-                            ibo = self._decide_fast(
-                                plan, token, prob_epoch,
-                                arrival_rate, free, correction,
-                            )
-                    else:
-                        ibo = self._decide_fast(
-                            plan, token, prob_epoch,
-                            arrival_rate, free, correction,
-                        )
-                    if token is not None:
-                        plan.memo_key = key
-                        plan.memo_ibo = ibo
-                stats.scored_candidates += 1
-                score = ibo.predicted_service_s
-                if score != score:  # math.isnan, without the call
-                    raise SchedulingError(
-                        f"E[S] score for job {candidate.job.name!r} is NaN"
-                    )
-                if best is None or score < best_score or (
-                    score == best_score
-                    and candidate.oldest.capture_time < best_age
-                ):
-                    best = candidate
-                    best_ibo = ibo
-                    best_score = score
-                    best_age = candidate.oldest.capture_time
-            if best is None:
-                raise SchedulingError("select() called with no pending jobs")
-            return _make_decision(
-                best.job.name,
-                best.oldest,
-                {plans[best.job.name].deg_task_name: best_ibo.option},
-                best_ibo.predicted_service_s,
-                best_ibo.ibo_predicted,
-                best_ibo.degraded,
-            )
-
-        # Injected scheduler (FCFS/LCFS ablations, custom subclasses): keep
-        # the scorer-callback protocol, with a per-decision memo layered
-        # over the per-job cross-decision memo so hit/miss counters record
-        # each (decision, job) pair exactly once.
-        local: dict[str, IBODecision] = {}
+        decided: dict[str, IBODecision] = {}
 
         def ibo_for(job_name: str) -> IBODecision:
-            ibo = local.get(job_name)
-            if ibo is not None:
-                return ibo
-            plan = plans[job_name]
-            if token is not None and plan.memo_key == key:
-                stats.cache_hits += 1
-                ibo = plan.memo_ibo
-            else:
-                stats.cache_misses += 1
-                ibo = self._decide_fast(
-                    plan, token, prob_epoch, arrival_rate, free, correction
+            ibo = decided.get(job_name)
+            if ibo is None:
+                ibo = decided[job_name] = self._decide(
+                    plans[job_name], token, arrival_rate, free, correction
                 )
-                if token is not None:
-                    plan.memo_key = key
-                    plan.memo_ibo = ibo
-            local[job_name] = ibo
             return ibo
 
         def scorer(candidate: JobCandidate) -> float:
@@ -518,82 +330,53 @@ class QuetzalRuntime(Policy):
             ibo.degraded,
         )
 
-    def _decide_fast(
+    def _decide(
         self,
         plan: _JobDecisionPlan,
         token: object | None,
-        prob_epoch: int,
         arrival_rate: float,
         free: float,
         correction: float,
     ) -> IBODecision:
-        """Algorithm 2 over the plan's flat score table.
+        """Algorithm 2 for one job over its flat score row.
 
-        The score row — the Eq.-1 S_e2e vector of the degradable task, the
-        non-degradable E[S] sum, and the execution probability — depends
-        only on (estimator token, this plan's probability values), so rows
-        are cached per token; when the (monotonic, global) probability
-        epoch moves, the plan's own probability inputs are re-read and the
-        rows dropped only if they actually changed.  A row rebuild is pure
-        arithmetic over the estimator-only ``svc_rows`` half (itself keyed
-        by token alone and consulted at most once per estimator state).
-        The walk itself is then one multiply + add + max and one
+        The row is the Eq.-1 S_e2e vector of the degradable task, the
+        non-degradable E[S] sum and the degradable task's execution
+        probability.  Its estimator half comes from ``plan.svc_rows`` (the
+        only place the estimator is consulted); the probabilities are read
+        fresh.  The walk itself is then one multiply + add + max and one
         Little's-Law comparison per option.
         """
-        rows = plan.rows
-        row = None
-        if token is not None:
-            if plan.rows_epoch != prob_epoch:
-                # The global probability epoch moved, but it covers every
-                # task window — this plan's rows survive iff the handful of
-                # probability values *they* depend on are in fact unchanged
-                # (O(1) fraction reads, far cheaper than a rebuild).
-                plan.rows_epoch = prob_epoch
-                probability = self._probabilities.probability
-                probs = tuple(probability(n) for n in plan.conditional_names)
-                if probs != plan.probs_key:
-                    plan.probs_key = probs
-                    rows.clear()
-            row = rows.get(token)
-        if row is None:
-            self.decision_stats.score_table_rebuilds += 1
-            svc = plan.svc_rows.get(token) if token is not None else None
-            if svc is None:
-                # First sight of this estimator state: the only place the
-                # estimator itself is consulted.
-                service_time = self.estimator.service_time
-                svc_times = tuple(
+        stats = self.decision_stats
+        svc = plan.svc_rows.get(token) if token is not None else None
+        if svc is None:
+            stats.cache_misses += 1
+            service_time = self.estimator.service_time
+            svc = (
+                tuple(
                     service_time(task, highest)
                     for task, highest, _ in plan.non_deg_terms
-                )
-                s_times = self.estimator.service_time_vector(plan.deg_task)
-                svc = (svc_times, s_times)
-                if token is not None:
-                    if len(plan.svc_rows) >= 4096:
-                        # Safety bound for continuous tokens (e.g. the
-                        # exact estimator's raw float P_in); the 8-bit
-                        # hardware code never gets near it.
-                        plan.svc_rows.clear()
-                    plan.svc_rows[token] = svc
-            else:
-                svc_times, s_times = svc
-            probability = self._probabilities.probability
-            non_deg = 0.0
-            i = 0
-            for task, highest, conditional in plan.non_deg_terms:
-                prob = probability(task.name) if conditional else 1.0
-                non_deg += prob * svc_times[i]
-                i += 1
-            deg_prob = (
-                probability(plan.deg_task_name) if plan.deg_conditional else 1.0
+                ),
+                self.estimator.service_time_vector(plan.deg_task),
             )
-            row = (non_deg, deg_prob, s_times)
             if token is not None:
-                if len(rows) >= 4096:
-                    rows.clear()
-                rows[token] = row
+                if len(plan.svc_rows) >= 4096:
+                    # Safety bound for continuous tokens (e.g. the exact
+                    # estimator's raw float P_in); the 8-bit hardware code
+                    # never gets near it.
+                    plan.svc_rows.clear()
+                plan.svc_rows[token] = svc
         else:
-            non_deg, deg_prob, s_times = row
+            stats.cache_hits += 1
+        svc_times, s_times = svc
+        probability = self._probabilities.probability
+        non_deg = 0.0
+        for (task, _, conditional), svc_time in zip(plan.non_deg_terms, svc_times):
+            prob = probability(task.name) if conditional else 1.0
+            non_deg += prob * svc_time
+        deg_prob = (
+            probability(plan.deg_task_name) if plan.deg_conditional else 1.0
+        )
 
         # Detection (Alg. 2 line 6).  max(0.0, …) also absorbs a NaN from
         # 0 * inf exactly as IBOEngine's corrected_e_s does.
@@ -602,7 +385,6 @@ class QuetzalRuntime(Policy):
             return _make_ibo(plan.options[0], False, True, e_s, False)
 
         # Reaction walk (Alg. 2 lines 8-19) over the flat S_e2e vector.
-        stats = self.decision_stats
         stats.degradation_walks += 1
         options = plan.options
         steps = 0

@@ -56,31 +56,14 @@ class BitVectorWindow:
         """Current one-counter value."""
         return self._ones
 
-    def append(self, bit: bool) -> bool:
-        """Record one observation, evicting the oldest if full.
-
-        Returns True when the append changed :meth:`fraction` — the O(1)
-        change signal score caches key their invalidation on.  A full
-        window absorbing a bit equal to the one it evicts, or a uniform
-        window growing by another copy of its only value, leaves the
-        fraction untouched (``ones/filled`` is unchanged in exactly those
-        cases); the very first bit always counts as a change because it
-        replaces the empty-window default.
-        """
+    def append(self, bit: bool) -> None:
+        """Record one observation, evicting the oldest if full."""
         bit = bool(bit)
-        filled = len(self._bits)
-        if filled == self._size:
-            evicted = self._bits[0]
-            changed = bit != evicted
-            if evicted:
-                self._ones -= 1
-        else:
-            # ones/filled == (ones+bit)/(filled+1)  ⟺  ones == bit*filled.
-            changed = filled == 0 or self._ones != (filled if bit else 0)
+        if len(self._bits) == self._size and self._bits[0]:
+            self._ones -= 1
         self._bits.append(bit)
         if bit:
             self._ones += 1
-        return changed
 
     def fraction(self, default: float = 0.0) -> float:
         """Fraction of 1s among recorded bits (``default`` if empty)."""
@@ -110,17 +93,10 @@ class ArrivalRateTracker:
             )
         self.window = BitVectorWindow(window_size)
         self.capture_period_s = capture_period_s
-        self._epoch = 0
-
-    @property
-    def epoch(self) -> int:
-        """Rate-change counter: bumped only when :meth:`rate` moves (O(1))."""
-        return self._epoch
 
     def record_capture(self, stored: bool) -> None:
         """Record one capture and whether it entered (or aimed for) the buffer."""
-        if self.window.append(stored):
-            self._epoch += 1
+        self.window.append(stored)
 
     def rate(self) -> float:
         """Current λ estimate in inputs per second.
@@ -145,19 +121,10 @@ class ExecutionProbabilityTracker:
             raise ConfigurationError(f"window_size must be >= 1, got {window_size}")
         self._window_size = window_size
         self._windows: dict[str, BitVectorWindow] = {}
-        self._epoch = 0
 
     @property
     def window_size(self) -> int:
         return self._window_size
-
-    @property
-    def epoch(self) -> int:
-        """Probability-change counter: bumped only when some task's
-        :meth:`probability` moves (O(1) per recorded bit).  Score caches
-        keyed on this epoch are invalidated exactly when a cached E[S]
-        could have gone stale."""
-        return self._epoch
 
     def record(self, task_name: str, executed: bool) -> None:
         """Append one observation for ``task_name``."""
@@ -165,8 +132,7 @@ class ExecutionProbabilityTracker:
         if window is None:
             window = BitVectorWindow(self._window_size)
             self._windows[task_name] = window
-        if window.append(executed):
-            self._epoch += 1
+        window.append(executed)
 
     def record_job(self, executed_by_task: dict[str, bool]) -> None:
         """Atomically record a completed job's per-task execution bits."""
@@ -176,8 +142,7 @@ class ExecutionProbabilityTracker:
             window = windows.get(task_name)
             if window is None:
                 window = windows[task_name] = BitVectorWindow(self._window_size)
-            if window.append(executed):
-                self._epoch += 1
+            window.append(executed)
 
     def probability(self, task_name: str, default: float = 1.0) -> float:
         """Execution-probability estimate for ``task_name``."""

@@ -36,7 +36,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    decision_path_registry,
     fleet_registry,
     kernel_stats_registry,
     serve_registry,
@@ -62,7 +61,6 @@ __all__ = [
     "Histogram",
     "fleet_registry",
     "serve_registry",
-    "decision_path_registry",
     "kernel_stats_registry",
     "HeartbeatPublisher",
 ]

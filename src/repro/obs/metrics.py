@@ -33,7 +33,6 @@ __all__ = [
     "MetricsRegistry",
     "fleet_registry",
     "serve_registry",
-    "decision_path_registry",
     "kernel_stats_registry",
 ]
 
@@ -374,8 +373,9 @@ def fleet_registry(rollup, kernel_stats=None) -> MetricsRegistry:
                 _rebin_256_to_buckets(dist.bins), dist.total, dist.count,
                 policy=policy,
             )
-    # Only the decision-path counters a rollup carries: ``decisions`` and
-    # ``score_table_rebuilds`` are policy-side, never in ``RunMetrics``.
+    # Only the decision-path counters a rollup carries: ``decisions`` is
+    # policy-side, never in ``RunMetrics``, and ``score_table_rebuilds``
+    # repeats ``cache_misses``.
     totals = rollup.overall.decision_path_totals()
     for name in (
         "scored_candidates", "cache_hits", "cache_misses",
@@ -454,27 +454,6 @@ def serve_registry(stats: dict) -> MetricsRegistry:
     )
     for state, count in sorted(stats["jobs"].items()):
         jobs.set(count, state=state)
-    return registry
-
-
-def decision_path_registry(stats) -> MetricsRegistry:
-    """Registry view of :class:`~repro.sim.telemetry.DecisionPathStats`.
-
-    The underlying dataclass (and its ``as_dict`` shape) is unchanged;
-    this exposes the same counters under the registry namespace.
-    """
-    registry = MetricsRegistry()
-    # Namespaced ``repro_decision_path_`` (not ``repro_decision_``): the
-    # rollup already exports per-policy RunMetrics counters named
-    # ``decision_cache_hits`` etc., and the two must not collide.
-    for name in (
-        "decisions", "scored_candidates", "cache_hits", "cache_misses",
-        "score_table_rebuilds", "degradation_walks", "degradation_walk_steps",
-    ):
-        registry.counter(
-            f"repro_decision_path_{name}_total",
-            f"Decision-path work counter: {name}",
-        ).inc(getattr(stats, name))
     return registry
 
 

@@ -86,7 +86,7 @@ class RunMetrics:
     prediction_error_s: float = 0.0
 
     # -- decision-path observability -----------------------------------------------------
-    # Work counters from the policy's cached decision path (see
+    # Work counters from the policy's decision path (see
     # repro.sim.telemetry.DecisionPathStats).  These measure implementation
     # effort, not simulated behaviour: they are the one part of RunMetrics
     # deliberately EXCLUDED from the golden digests
@@ -503,8 +503,8 @@ class MetricsRollup:
         """Fleet-total decision-path work counters.
 
         Returns a :class:`~repro.sim.telemetry.DecisionPathStats` holding
-        the five counters RunMetrics surfaces (``decisions`` and
-        ``score_table_rebuilds`` are policy-side only and stay 0).
+        the five counters RunMetrics surfaces (``decisions`` is
+        policy-side only and stays 0).
         """
         from repro.sim.telemetry import DecisionPathStats
 

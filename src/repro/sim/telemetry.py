@@ -28,7 +28,7 @@ __all__ = [
 
 @dataclass
 class DecisionPathStats:
-    """Work counters for the scheduler's cached decision path.
+    """Work counters for the scheduler's decision path.
 
     Maintained by :class:`~repro.core.runtime.QuetzalRuntime` as its live
     ``decision_stats`` and surfaced through
@@ -43,24 +43,19 @@ class DecisionPathStats:
     decisions:
         Scheduling decisions made (Alg. 1 invocations).
     scored_candidates:
-        Candidate jobs scored across all decisions; each candidate is
-        scored exactly once per decision, so this is the Σ of per-decision
-        candidate counts.
+        Scorer calls across all decisions.  Energy-aware SJF scores every
+        candidate exactly once per decision; FCFS/LCFS score none.
     cache_hits / cache_misses:
-        Outcomes of the per-job decision memo, keyed on (estimator state,
-        probability epoch, λ, free buffer space, PID correction).  A hit
-        reuses a complete Alg.-2 evaluation (Eq.-1 scoring + IBO detection
-        + degradation walk) without recomputing anything.
-    score_table_rebuilds:
-        Times a job's Eq.-1 score table (per-option S_e2e vector + the
-        non-degradable E[S] sum + execution probabilities) had to be
-        recomputed because the estimator state or a probability window
-        changed.  Decision-memo misses whose score table was still valid
-        (e.g. only the PID correction moved) skip this cost — the gap
-        between ``cache_misses`` and ``score_table_rebuilds`` is work the
-        Eq.-1 table cache saved.
+        Lookups of the one decision-path cache, the per-job estimator rows
+        keyed by estimator token (the 8-bit V_D1 code for the hardware
+        estimator).  Every candidate decided (one Alg.-2 evaluation) makes
+        exactly one lookup: all scored candidates under Energy-aware SJF,
+        the selected job alone under FCFS/LCFS.  A hit skips the estimator;
+        a miss (every lookup, for an estimator whose token is ``None``)
+        consults it.
     degradation_walks:
-        Cache misses whose IBO detection fired, requiring a reaction walk.
+        Candidates decided whose IBO detection fired, requiring a reaction
+        walk.
     degradation_walk_steps:
         Total degradation options stepped across those walks (Alg. 2's
         option-list traversal length, summed).
@@ -70,9 +65,13 @@ class DecisionPathStats:
     scored_candidates: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    score_table_rebuilds: int = 0
     degradation_walks: int = 0
     degradation_walk_steps: int = 0
+
+    @property
+    def score_table_rebuilds(self) -> int:
+        """Estimator rows built: the same count as :attr:`cache_misses`."""
+        return self.cache_misses
 
     def hit_rate(self) -> float:
         """Cache hits as a fraction of lookups (0 when never consulted)."""

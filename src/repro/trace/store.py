@@ -611,20 +611,20 @@ class TraceStore:
 
     def trace_for(self, config: "ExperimentConfig") -> PiecewiseConstantTrace | None:
         """The stored trace for a config, memoized on ``trace_key()``."""
-        memo_key = config.trace_key()
-        fingerprint = self._trace_memo.get(memo_key)
+        key = config.trace_key()
+        fingerprint = self._trace_memo.get(key)
         if fingerprint is None:
             fingerprint = config.trace_store_fingerprint()
-            self._trace_memo[memo_key] = fingerprint
+            self._trace_memo[key] = fingerprint
         return self._attach(fingerprint, "solar")
 
     def schedule_for(self, config: "ExperimentConfig") -> EventSchedule | None:
         """The stored schedule for a config, memoized on ``schedule_key()``."""
-        memo_key = config.schedule_key()
-        fingerprint = self._schedule_memo.get(memo_key)
+        key = config.schedule_key()
+        fingerprint = self._schedule_memo.get(key)
         if fingerprint is None:
             fingerprint = config.schedule_store_fingerprint()
-            self._schedule_memo[memo_key] = fingerprint
+            self._schedule_memo[key] = fingerprint
         return self._attach(fingerprint, "events")
 
     # -- bulk build -----------------------------------------------------------

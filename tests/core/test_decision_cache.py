@@ -3,16 +3,18 @@
 The component-level edge cases (PID ``dt_s <= 0``, Little's-Law zero
 rate / unbounded buffer, Alg. 2's fastest-option fallback) each have unit
 tests against the stateless components; this module pins the runtime's
-*cached* decision path to :func:`reference_select` — Alg. 1 over the
-stateless :class:`IBOEngine`'s Alg. 2 — at exactly those corners, where a
-stale or mis-keyed score table would be most likely to diverge:
+decision path, with its per-token estimator rows, to
+:func:`reference_select` — Alg. 1 over the stateless :class:`IBOEngine`'s
+Alg. 2 — at exactly those corners, where a stale or mis-keyed row would
+be most likely to diverge:
 
 * λ = 0 (empty arrival window) with free space, and with a full buffer
   (``0 >= 0`` still predicts an overflow);
 * ``buffer_limit=None`` (the Ideal baseline's unbounded buffer);
 * the degradation walk's fastest-option fallback when no option clears
   the predicted overflow;
-* probability/PID churn between decisions (epoch invalidation).
+* power, arrival-window and execution-probability churn between
+  decisions.
 
 The runtime and the oracle share one ``JobSet`` so Decision equality is
 exact — identical option objects, bit-identical floats.
@@ -27,7 +29,7 @@ from repro.core.scheduler import JobCandidate
 from repro.device.buffer import BufferedInput
 from repro.errors import ConfigurationError
 from repro.policies.base import Decision, SchedulingContext
-from repro.workload.pipelines import DETECT_JOB, ML_TASK, build_apollo_app
+from repro.workload.pipelines import DETECT_JOB, ML_TASK, TX_PREP_TASK, build_apollo_app
 
 APP = build_apollo_app()
 JOBS = APP.jobs
@@ -180,6 +182,26 @@ class TestCacheChurn:
             ctx = detect_context(now_s=float(i) + 0.5)
             assert runtime.select(ctx) == reference_select(runtime, ctx)
 
+    def test_probability_change_matches_reference(self):
+        # tx_prep is the detect job's one conditional task: its execution
+        # probability feeds every E[S] while the estimator row is reused.
+        from repro.policies.base import CompletionRecord
+        from repro.workload.pipelines import JobOutcome
+
+        runtime = make_runtime()
+        for i, executed in enumerate([True, False, False, True, False]):
+            ctx = detect_context(occupancy=6, now_s=10.0 + i)
+            decision = runtime.select(ctx)
+            assert decision == reference_select(runtime, ctx)
+            runtime.on_job_complete(CompletionRecord(
+                decision=decision,
+                started_s=10.0 + i,
+                finished_s=10.5 + i,
+                executed_by_task={ML_TASK: True, TX_PREP_TASK: executed},
+                outcome=JobOutcome(remove_input=True, classified_positive=False),
+            ))
+        assert runtime.decision_stats.cache_hits == 4
+
     def test_repeat_decision_hits_cache(self):
         runtime = make_runtime()
         ctx = detect_context()
@@ -218,15 +240,9 @@ class TestPIDEdges:
 
 
 class TestSelectBinding:
-    """prepare() binds the live select() to the cached path."""
-
-    def test_fast_instance_binds_select(self):
-        runtime = make_runtime()
-        assert "select" in runtime.__dict__
-        assert runtime.select.__func__ is QuetzalRuntime._select_fast
+    """select() refuses to decide before prepare()."""
 
     def test_unprepared_instance_raises(self):
         runtime = QuetzalRuntime()
-        assert "select" not in runtime.__dict__
         with pytest.raises(ConfigurationError):
             runtime.select(detect_context())

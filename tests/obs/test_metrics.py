@@ -10,7 +10,6 @@ from repro.obs import MetricsRegistry, fleet_registry
 from repro.obs.metrics import (
     FRACTION_BUCKETS,
     _rebin_256_to_buckets,
-    decision_path_registry,
     kernel_stats_registry,
 )
 
@@ -194,8 +193,9 @@ class TestFleetRegistry:
 
     def test_decision_path_totals_are_the_per_policy_sums(self):
         # Each exported decision-path total is carried by a RunMetrics
-        # counter; decisions and score_table_rebuilds are not, so they
-        # are not exported at all rather than as constant zeros.
+        # counter; decisions is not, so it is not exported at all rather
+        # than as a constant zero, and score_table_rebuilds repeats
+        # cache_misses.
         rollup = run_fleet(
             small_fleet(policies=("QZ", "NA")), shards=2, jobs=1
         ).rollup
@@ -231,16 +231,6 @@ class TestFleetRegistry:
 
 
 class TestTelemetryViews:
-    def test_decision_path_registry(self):
-        from repro.sim.telemetry import DecisionPathStats
-
-        stats = DecisionPathStats(decisions=4, cache_hits=3, cache_misses=1)
-        registry = decision_path_registry(stats)
-        assert registry.get("repro_decision_path_decisions_total").value() == 4
-        assert registry.get("repro_decision_path_cache_hits_total").value() == 3
-        # The dataclass's own dict shape is unchanged by the view.
-        assert stats.as_dict()["cache_hit_rate"] == 0.75
-
     def test_kernel_stats_registry(self):
         from repro.fleet.kernel import KernelStats
 

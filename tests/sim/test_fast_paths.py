@@ -85,20 +85,36 @@ def test_engine_has_one_path():
 
 
 def test_decision_counters_populated_on_fast_path(solar_trace, schedule):
-    """The cached path must account for its work: every decision scores
-    its candidates exactly once, and each (decision, candidate) lookup is
-    either a hit or a miss."""
+    """The decision path must account for its work: under Energy-aware
+    SJF every decision scores each candidate exactly once, each scored
+    candidate is one lookup of the per-token estimator rows, and the rows
+    are reused across decisions."""
     metrics = run_one(QuetzalRuntime, solar_trace, schedule)
     scored = metrics.decision_scored_candidates
     lookups = metrics.decision_cache_hits + metrics.decision_cache_misses
     assert scored > 0
     assert lookups == scored
+    assert metrics.decision_cache_hits > 0
     assert metrics.jobs_completed > 0
     # Non-Quetzal policies have no decision cache: their counters stay
     # zero.
     baseline = run_one(NoAdaptPolicy, solar_trace, schedule)
     for field in WORK_COUNTER_FIELDS:
         assert getattr(baseline, field) == 0, field
+
+
+def test_fcfs_decides_only_the_selected_job(solar_trace, schedule):
+    """FCFS never calls the scorer, so each decision makes exactly one
+    row lookup: the selected job's."""
+    from repro.core.scheduler import FCFSScheduler
+
+    policy = QuetzalRuntime(scheduler=FCFSScheduler())
+    run_one(lambda: policy, solar_trace, schedule)
+    stats = policy.decision_stats
+    assert stats.decisions > 0
+    assert stats.scored_candidates == 0
+    assert stats.cache_hits + stats.cache_misses == stats.decisions
+    assert stats.score_table_rebuilds == stats.cache_misses
 
 
 def test_decision_counters_surface_in_telemetry(solar_trace, schedule):

@@ -103,13 +103,16 @@ def test_profiling_section_decision_counters(tutorial_world):
         build_apollo_app(), policy, trace, schedule,
         config=SimulationConfig(seed=5),
     )
+    # Under Energy-aware SJF every scored candidate is one row lookup.
     assert (
         metrics.decision_scored_candidates
         == metrics.decision_cache_hits + metrics.decision_cache_misses
         > 0
     )
+    assert metrics.decision_cache_hits > 0
     stats = policy.decision_stats
     assert stats.cache_hits == metrics.decision_cache_hits
+    assert stats.score_table_rebuilds == stats.cache_misses
     assert 0.0 <= stats.as_dict()["cache_hit_rate"] <= 1.0
 
 
